@@ -175,10 +175,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _path(points, warn: str | None = None) -> str:
+def _path(points) -> str:
     coords = " ".join(f"{_fmt(p.real)},{_fmt(-p.imag)}" for p in points)
-    warn_attr = f' data-warning="{warn}"' if warn else ""
-    return f'<polyline fill="none" points="{coords}"{warn_attr}/>'
+    return f'<polyline fill="none" points="{coords}"/>'
 
 
 def render_polar_net(
@@ -190,49 +189,45 @@ def render_polar_net(
     and ``spokes`` radii of the unit disk, plus the image of the unit circle
     as the boundary.  Output is deterministic: fixed path order (circles by
     radius, spokes by angle, boundary last), floats at 12 significant
-    digits.  A stage-domain failure truncates that path and annotates it
-    instead of aborting the figure.
+    digits.  Samples that a stage rejects (a stage-domain failure) are left
+    out instead of aborting the figure: the curve is drawn as a group of
+    polylines split at those samples, annotated with their indices.
     """
     if spokes < 1 or circles < 1:
         raise InputError("need at least one spoke and one circle")
     paths = []
     all_pts = []
 
-    def traced(zeta_arr):
+    def draw(zeta_arr):
         try:
-            pts = evaluate_composed(cmap, zeta_arr)
-            return pts, None
+            runs, skipped = [evaluate_composed(cmap, zeta_arr)], []
         except DomainError:
-            pass
-        pts = []
-        warn = None
-        for i, zv in enumerate(zeta_arr):
-            try:
-                pts.append(evaluate_composed(cmap, zv))
-            except DomainError:
-                warn = f"stage-domain-error at sample {i}"
-                break
-        return np.asarray(pts, dtype=complex), warn
+            runs, run, skipped = [], [], []
+            for i, zv in enumerate(zeta_arr):
+                try:
+                    run.append(evaluate_composed(cmap, zv))
+                except DomainError:
+                    skipped.append(i)
+                    if run:
+                        runs.append(np.asarray(run, dtype=complex))
+                    run = []
+            if run:
+                runs.append(np.asarray(run, dtype=complex))
+        all_pts.extend(runs)
+        if not skipped:
+            paths.append(_path(runs[0]))
+            return
+        warn = "stage-domain-error at samples " + ",".join(map(str, skipped))
+        body = "".join(_path(r) + "\n" for r in runs)
+        paths.append(f'<g data-warning="{warn}">\n{body}</g>')
 
     for j in range(1, circles + 1):
         r = j / (circles + 1.0)
-        zeta = r * np.exp(2j * np.pi * np.arange(samples + 1) / samples)
-        pts, warn = traced(zeta)
-        paths.append(_path(pts, warn))
-        if len(pts):
-            all_pts.append(pts)
+        draw(r * np.exp(2j * np.pi * np.arange(samples + 1) / samples))
     for j in range(spokes):
         ang = 2.0 * np.pi * j / spokes
-        radii = np.linspace(0.0, 1.0, samples)
-        pts, warn = traced(radii * np.exp(1j * ang))
-        paths.append(_path(pts, warn))
-        if len(pts):
-            all_pts.append(pts)
-    zeta = np.exp(2j * np.pi * np.arange(samples + 1) / samples)
-    pts, warn = traced(zeta)
-    paths.append(_path(pts, warn))
-    if len(pts):
-        all_pts.append(pts)
+        draw(np.linspace(0.0, 1.0, samples) * np.exp(1j * ang))
+    draw(np.exp(2j * np.pi * np.arange(samples + 1) / samples))
 
     pool = np.concatenate(all_pts) if all_pts else np.array([-1.0 - 1j, 1.0 + 1j])
     x0, x1 = float(np.min(pool.real)), float(np.max(pool.real))

@@ -65,6 +65,15 @@ SECTOR_MARGIN = 1e-9     # angular slack for sector / half-plane membership
 CORNER_EXCLUSION = 1e-8  # |w| below this (times scale) has no reliable argument
 ANCHOR_FRACTIONS = (0.0, 0.125, 0.25, 0.375, 0.5)
 ANCHOR_SEARCH_GRID = 1024
+# a later anchor candidate replaces the best one only when its deviation is
+# smaller by more than this relative margin: closer scores are a rounding-level
+# tie, kept by the candidate nearer the base anchor, so the choice does not
+# depend on the last bits of the BLAS build
+ANCHOR_TIE_RTOL = 1e-9
+# Newton on the base core for an anchor's preimage: step budget and the
+# residual |core(beta) - target| accepted, relative to max |core coefficient|
+REANCHOR_STEPS = 80
+REANCHOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -657,10 +666,16 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
         raise NonMonotoneThetaError(
             "theta not monotone on the squared boundary; increase M/P"
         )
+    # every candidate re-anchors through the same base core
+    base_core = taylor_from_correspondence(centered, sol.theta_grid, cfg.D)
 
-    def build(anchor: complex, theta_grid) -> ComposedMap:
-        cen = _translate(squared_curve, -anchor)
-        core = taylor_from_correspondence(cen, theta_grid, cfg.D)
+    def build(anchor: complex) -> ComposedMap:
+        if anchor == base_anchor:
+            core = base_core
+        else:
+            theta = _reanchor(sol.theta_grid, base_core, base_anchor, anchor)
+            cen = _translate(squared_curve, -anchor)
+            core = taylor_from_correspondence(cen, theta, cfg.D)
         core = PolynomialMap(
             coeffs=core.coeffs,
             neg_residual=core.neg_residual,
@@ -677,8 +692,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     search_log = []
     if isinstance(cfg.anchor, complex):
         chosen_anchor = cfg.anchor
-        theta = _reanchor(sol.theta_grid, centered, base_anchor, chosen_anchor, cfg.D)
-        chosen = build(chosen_anchor, theta)
+        chosen = build(chosen_anchor)
     else:
         from .geometry_checks import boundary_deviation
 
@@ -686,8 +700,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
         best = None
         for frac in ANCHOR_FRACTIONS:
             anchor = base_anchor + frac * (u_centroid - base_anchor)
-            theta = _reanchor(sol.theta_grid, centered, base_anchor, anchor, cfg.D)
-            candidate = build(anchor, theta)
+            candidate = build(anchor)
             try:
                 rep = boundary_deviation(candidate, target, grid=ANCHOR_SEARCH_GRID)
                 score = rep.sup_deviation
@@ -703,7 +716,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
                 {"frac": frac, "anchor": [anchor.real, anchor.imag],
                  "sup_deviation": score}
             )
-            if best is None or score < best[0]:
+            if best is None or score < best[0] * (1.0 - ANCHOR_TIE_RTOL):
                 best = (score, anchor, candidate)
         if best is None:
             raise PipelineError(
@@ -733,26 +746,29 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     )
 
 
-def _reanchor(theta_grid, centered_curve, old_anchor, new_anchor, D):
+def _reanchor(theta_grid, core: PolynomialMap, old_anchor, new_anchor):
     """Correspondence of the same solve re-normalized to a new anchor point.
 
+    ``core`` is the Taylor core of the normalization at ``old_anchor``.
     Maps through the disk automorphism sending the preimage of the new
-    anchor to 0; the preimage is found by Newton on the core polynomial of
-    the original normalization.
+    anchor to 0; the preimage is found by Newton on ``core``, which must
+    bring ``|core(beta) - target|`` within ``REANCHOR_TOL`` of the core's
+    scale.
     """
-    if new_anchor == old_anchor:
-        return theta_grid
-    core = taylor_from_correspondence(centered_curve, theta_grid, D)
     target = new_anchor - old_anchor
     dcoeffs = core.derivative_coeffs()
     beta = 0.0 + 0.0j
-    for _ in range(80):
-        val = core(beta) - target
-        deriv = _polyval(dcoeffs, beta)
-        step = val / deriv
+    for steps in range(1, REANCHOR_STEPS + 1):
+        step = (core(beta) - target) / _polyval(dcoeffs, beta)
         beta -= step
         if abs(step) < 1e-15:
             break
+    residual = abs(core(beta) - target)
+    if not residual <= REANCHOR_TOL * float(np.max(np.abs(core.coeffs))):
+        raise PipelineError(
+            f"anchor preimage Newton did not converge: residual {residual:.3e} "
+            f"after {steps} steps"
+        )
     if abs(beta) >= 1.0:
         raise PipelineError(
             f"anchor {new_anchor} is not an interior point of the solve"

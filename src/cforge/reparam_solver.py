@@ -10,9 +10,14 @@ The correction solves a second-kind integral equation whose kernel is the
 parameter derivative of the argument of the chord quotient
 ``(z(tau)-z(t)) / (e^{i tau}-e^{i t})``.  The quotient is expanded through
 the finite geometric-sum factorization of ``e^{ik tau} - e^{ik t}``, so the
-diagonal ``tau = t`` is a regular point and no limits are taken.  Truncating
-``q`` at ``M`` modes and projecting yields a dense ``2M x 2M`` block system;
-the right-hand side combines the conjugate function of ``ln|z|`` (the
+diagonal ``tau = t`` is a regular point and no limits are taken.  Swapping
+the order of the two finite sums makes the quotient a rank-``2L`` product
+``A(tau) B(t)`` (``L = max|k|`` over the curve), whose factors are Hankel
+matrices of the coefficients applied to powers of ``e^{+-ix}``: the
+``P x P`` grid is two complex matrix products, and the scalar kernels use
+one row and one column of the same factors.  Truncating ``q`` at ``M``
+modes and projecting yields a dense ``2M x 2M`` block system; the
+right-hand side combines the conjugate function of ``ln|z|`` (the
 separated cotangent part) with the remaining continuous-kernel integral.
 """
 
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import hankel, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
 from .errors import (
@@ -51,6 +56,8 @@ __all__ = [
 
 # chord quotient magnitudes below this mean a degenerate / self-crossing curve
 QUOTIENT_TOL = 1e-13
+# largest peak memory assemble_system may take (P = 2400 needs about 0.23 GB)
+ASSEMBLY_MAX_BYTES = 4 * 2**30
 
 
 @dataclass(frozen=True)
@@ -209,68 +216,79 @@ def _periodic_interp(values: np.ndarray, t, derivative: bool = False):
     return ev_prime(t) if derivative else ev(t)
 
 
+def _chord_factors(curve: FourierCurve, tau, t):
+    """Low-rank factors of the chord quotient ``W`` and its tau-derivative.
+
+    Swapping the two sums of
+
+        W = sum_{k>=1} c_k e^{ikt} S_k(tau-t) - sum_{k>=1} c_{-k} e^{-ik tau} S_k(tau-t),
+
+    ``S_p(x) = sum_{l<p} e^{ilx}``, gives ``W = A(tau) @ B(t)`` with
+
+        A = [ e^{il tau}                           | -sum_{j>=1} c_{-(l+j)} e^{-ij tau} ]
+        B = [ sum_{j>=1} c_{l+j} e^{ijt} ;  e^{-ilt} ]
+
+    where ``l = 0..n-1`` in the left/top block and ``l = 0..m-1`` in the
+    right/bottom block (``n``, ``m`` the curve's largest positive and
+    negative degrees), so the rank is ``n + m <= 2L``, ``L = max|k|``.  The
+    inner sums are Hankel matrices of the coefficients applied to powers of
+    ``e^{+-ix}``.  ``W_tau = A_tau(tau) @ B(t)`` reuses B and differentiates
+    A column by column.  Returns ``(A, A_tau, B)`` with one row of A per
+    ``tau`` and one column of B per ``t``.
+    """
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    coeffs = curve.coeffs
+    n, m = curve.n, curve.m
+    lp = np.arange(n)
+    ln = np.arange(m)
+    hp = hankel(np.array([coeffs.get(k, 0.0) for k in range(1, n + 1)], complex))
+    hn = hankel(np.array([coeffs.get(-k, 0.0) for k in range(1, m + 1)], complex))
+    Ap = np.exp(1j * np.multiply.outer(tau, lp))
+    En = np.exp(-1j * np.multiply.outer(tau, ln + 1))
+    A = np.hstack([Ap, -(En @ hn)])
+    A_tau = np.hstack([1j * lp * Ap, (1j * (ln + 1) * En) @ hn])
+    B = np.vstack(
+        [
+            hp @ np.exp(1j * np.multiply.outer(lp + 1, t)),
+            np.exp(-1j * np.multiply.outer(ln, t)),
+        ]
+    )
+    return A, A_tau, B
+
+
 def _chord_quotient_grids(curve: FourierCurve, P: int):
     """Chord quotient ``W`` and its tau-derivative on the P x P uniform grid.
 
     Row index runs over tau, column index over t.  Uses the factorization
-    ``(z(tau)-z(t))/(e^{i tau}-e^{i t}) = e^{-it} W(tau,t)`` with
+    ``(z(tau)-z(t))/(e^{i tau}-e^{i t}) = e^{-it} W(tau,t)``, where W is
+    polynomial in ``e^{i tau}`` and regular on the diagonal
+    (``W(t,t) = -i z'(t)``).  The t-only factor e^{-it} does not affect
+    tau-derivatives of log W and is dropped.
 
-        W = sum_{k>=1} c_k e^{ikt} S_k(tau-t) - sum_{j>=1} c_{-j} e^{-ij tau} S_j(tau-t),
-
-    ``S_p(x) = sum_{l<p} e^{ilx}``, so W is polynomial in ``e^{i tau}`` and
-    regular on the diagonal (W(t,t) = -i z'(t)).  The t-only factor e^{-it}
-    does not affect tau-derivatives of log W and is dropped.
+    W has rank at most ``2L`` (``L = max|k|``): with the factors of
+    :func:`_chord_factors` each grid is one complex ``P x 2L x P`` matrix
+    product, ``W = A B`` and ``W_tau = A_tau B``.
     """
     tau = _grid(P)
-    idx = np.arange(P)
-    D = (idx[:, None] - idx[None, :]) % P
-    maxp = max(abs(k) for k in curve.ks)
-    E = np.exp(1j * np.multiply.outer(np.arange(max(maxp, 1)), tau))
-    W = np.zeros((P, P), dtype=complex)
-    Wt = np.zeros((P, P), dtype=complex)
-    for k, c in zip(curve.ks, curve.cs):
-        if k == 0 or c == 0:
-            continue
-        p = abs(k)
-        S = E[:p].sum(axis=0)
-        Sd = (1j * np.arange(p)[:, None] * E[:p]).sum(axis=0)
-        if k > 0:
-            f = c * np.exp(1j * k * tau)[None, :]
-            W += f * S[D]
-            Wt += f * Sd[D]
-        else:
-            g = c * np.exp(-1j * p * tau)[:, None]
-            W -= g * S[D]
-            Wt -= g * (Sd[D] - 1j * p * S[D])
-    return W, Wt
+    A, A_tau, B = _chord_factors(curve, tau, tau)
+    return A @ B, A_tau @ B
+
+
+def _quotient_floor(curve: FourierCurve) -> float:
+    """``|W|`` below this means a degenerate or self-intersecting curve."""
+    return QUOTIENT_TOL * max(1.0, max(abs(c) for c in curve.cs))
 
 
 def _kernel_value(curve: FourierCurve, tau: float, t: float):
-    """Scalar ``W'_tau / W`` via the same factorization as the grid path."""
-    x = float(tau) - float(t)
-    W = 0.0 + 0.0j
-    Wt = 0.0 + 0.0j
-    for k, c in zip(curve.ks, curve.cs):
-        if k == 0 or c == 0:
-            continue
-        p = abs(k)
-        l = np.arange(p)
-        S = np.exp(1j * l * x).sum()
-        Sd = (1j * l * np.exp(1j * l * x)).sum()
-        if k > 0:
-            f = c * np.exp(1j * k * t)
-            W += f * S
-            Wt += f * Sd
-        else:
-            g = c * np.exp(-1j * p * tau)
-            W -= g * S
-            Wt -= g * (Sd - 1j * p * S)
-    scale = max(abs(c) for c in curve.cs)
-    if abs(W) < QUOTIENT_TOL * max(1.0, scale):
+    """Scalar ``W'_tau / W``: one row of the grid factors against one column."""
+    A, A_tau, B = _chord_factors(curve, tau, t)
+    W = (A @ B)[0, 0]
+    if abs(W) < _quotient_floor(curve):
         raise SolverError(
             "chord quotient vanished: curve is degenerate or self-intersecting"
         )
-    return Wt / W
+    return (A_tau @ B)[0, 0] / W
 
 
 def kernel_K(curve: FourierCurve, tau: float, t: float) -> float:
@@ -301,27 +319,49 @@ def conjugate_periodic(a, b):
     return -b.copy(), a.copy()
 
 
+def _assembly_peak_bytes(P: int, rank: int) -> int:
+    """Upper bound on the peak memory of :func:`assemble_system`.
+
+    At the peak the complex ``P x P`` grids ``W`` and ``W_tau`` (16 bytes an
+    entry each) are alive with either the three complex ``P x rank`` factors
+    they are built from or the real ``|W|`` temporary of the degeneracy
+    check (8 bytes an entry).  Later stages hold less: at most the
+    quotient, a real copy of the kernel, and ``M x P`` bases and products
+    (``P >= 4M``).
+    """
+    return 40 * P * P + 48 * rank * P
+
+
 def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
     """Project the integral equation onto ``cos(lt), sin(lt)``, ``l <= M``.
 
     The kernel is sampled on the ``P x P`` uniform grid and both integrals
     of every entry are evaluated with the periodic trapezoid rule (which is
     the spectrally accurate choice for periodic integrands).  Requires
-    ``P >= 4M``; the curve must wind once around the origin.
+    ``P >= 4M``; the curve must wind once around the origin.  Sizes whose
+    grids would need more than ``ASSEMBLY_MAX_BYTES`` are rejected before
+    anything is allocated.
     """
     if M < 1:
         raise InputError("M must be >= 1")
     if P < 4 * M:
         raise InputError(f"grid size P={P} must be at least 4M={4 * M}")
+    need = _assembly_peak_bytes(P, curve.n + curve.m)
+    if need > ASSEMBLY_MAX_BYTES:
+        raise InputError(
+            f"assembly at M={M}, P={P} needs about {need / 2**30:.1f} GiB, "
+            f"above the {ASSEMBLY_MAX_BYTES / 2**30:.0f} GiB cap"
+        )
     W, Wt = _chord_quotient_grids(curve, P)
-    scale = max(abs(c) for c in curve.cs)
-    if np.min(np.abs(W)) < QUOTIENT_TOL * max(1.0, scale):
+    if np.min(np.abs(W)) < _quotient_floor(curve):
         raise SolverError(
             "chord quotient vanished on the grid: curve is degenerate "
             "or self-intersecting"
         )
-    quot = Wt / W
-    Kg = quot.imag
+    # in place, so that the grids never exceed the estimated peak
+    quot = np.divide(Wt, W, out=Wt)
+    del W
+    Kg = np.ascontiguousarray(quot.imag)  # a strided view slows the GEMMs
     Lg = quot.real
 
     tau = _grid(P)
@@ -330,10 +370,12 @@ def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
     S = np.sin(np.multiply.outer(p, tau))
     KT = Kg.T
     w = 4.0 / P**2  # (1/pi^2) * (2 pi / P)^2
-    AA = np.eye(M) - w * (C @ KT @ C.T)
-    AB = -w * (C @ KT @ S.T)
-    BA = -w * (S @ KT @ C.T)
-    BB = np.eye(M) - w * (S @ KT @ S.T)
+    CK = C @ KT
+    SK = S @ KT
+    AA = np.eye(M) - w * (CK @ C.T)
+    AB = -w * (CK @ S.T)
+    BA = -w * (SK @ C.T)
+    BB = np.eye(M) - w * (SK @ S.T)
 
     # right-hand side: conjugate of ln|z| plus the continuous-kernel part
     u = np.log(np.abs(eval_curve(curve, tau)))

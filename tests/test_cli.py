@@ -159,6 +159,16 @@ class TestMap:
         code = main(["map", "--config", str(cfg), "--out", str(tmp_path / "o2")])
         assert code == 5
 
+    def test_oversized_grid_exit_2(self, tmp_path, monkeypatch):
+        from cforge import reparam_solver
+
+        def no_grids(curve, P):
+            raise AssertionError("grids allocated")
+
+        monkeypatch.setattr(reparam_solver, "_chord_quotient_grids", no_grids)
+        cfg = circle_config(tmp_path, M=2000, P=16000)
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "big")]) == 2
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(
             ["map", "--config", str(tmp_path / "nope.json"),

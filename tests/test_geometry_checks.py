@@ -158,9 +158,11 @@ def _assert_matches_fixture(svg, name):
 
 
 def _drawn_boundary(svg):
-    """Points of the last polyline (the boundary image), y flipped back."""
-    points = re.findall(r'points="([^"]*)"', svg)[-1]
-    xy = np.array([p.split(",") for p in points.split()], dtype=float)
+    """Points of the boundary image, the last curve drawn (a polyline, or a
+    group of polylines split at skipped samples), y flipped back."""
+    curves = re.findall(r'<g data-warning="[^"]*">.*?</g>|<polyline[^>]*/>', svg, re.S)
+    runs = re.findall(r'points="([^"]*)"', curves[-1])
+    xy = np.array([p.split(",") for run in runs for p in run.split()], dtype=float)
     return xy[:, 0] - 1j * xy[:, 1]
 
 
@@ -234,15 +236,15 @@ class TestFigureRegressions:
         )
         cm = corner_map(cfg)
         svg = render_polar_net(cm, spokes=8, circles=4, samples=256)
-        # Known defect kept as rendered: the spoke at angle pi and the
-        # boundary stop with a data-warning at zeta = -1, the corner
-        # preimage, whose image lands on the cf_root branch cut.  The
-        # skeleton comparison pins that truncation; mending it updates the
-        # fixture.
+        # zeta = -1, the corner preimage, has its image on the cf_root
+        # branch cut: the renderer skips that one sample (spoke at angle pi,
+        # boundary sample 128) and the skeleton pins the data-warnings.
         _assert_matches_fixture(svg, "sector_fraction.svg")
+        assert 'data-warning="stage-domain-error at samples 128"' in svg
 
-        # drawn boundary points (up to the truncation): measured 0.0064
+        # every boundary sample but zeta = -1 is drawn: measured 0.0064
         boundary = _drawn_boundary(svg)
+        assert len(boundary) == 256
         dist = _distance_to_contour(boundary, lambda s: corner_contour(s, 1, 3))
         assert np.max(dist) < 0.01
         # criterion 7's angle tolerance: measured error 4.9e-4

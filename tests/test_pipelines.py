@@ -230,6 +230,40 @@ class TestSlender:
         assert np.max(np.abs(evaluate_composed(cm, zeta) - zeta)) < 1e-3
 
 
+    def test_anchor_search_extracts_base_core_once(self, monkeypatch):
+        from cforge import pipelines
+
+        calls = []
+        extract = pipelines.taylor_from_correspondence
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(pipelines, "taylor_from_correspondence", counted)
+        cfg = PipelineConfig(
+            boundary=ellipse_curve(), slender={"a": None}, M=32, P=256, D=128,
+            n_iter=20,
+        )
+        cm = slender_map(cfg)
+        # the base core plus one per re-anchored candidate
+        assert len(calls) == len(pipelines.ANCHOR_FRACTIONS)
+        assert len(cm.provenance["slender"]["anchor_search"]) == len(calls)
+
+    def test_reanchor_newton_must_converge(self):
+        from cforge.pipelines import _reanchor
+        from cforge.reparam_solver import PolynomialMap
+
+        # Newton on beta^3 - 2 beta + 2 from 0 cycles 0 -> 1 -> 0 exactly
+        core = PolynomialMap(coeffs=[0.0, -2.0, 0.0, 1.0], neg_residual=0.0)
+        theta = 2 * np.pi * np.arange(64) / 64
+        with pytest.raises(PipelineError, match=r"residual 2\.000e\+00 after 80 steps"):
+            _reanchor(theta, core, 0.0, -2.0)
+        # a reachable target converges and re-anchors
+        again = _reanchor(theta, core, 0.0, -0.5)
+        assert np.all(np.diff(again) > 0)
+
+
 class TestEvaluate:
     def test_outside_disk_rejected(self, unit_circle):
         cm = smooth_map(PipelineConfig(boundary=unit_circle, M=8, P=64, D=4))

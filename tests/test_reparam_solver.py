@@ -14,6 +14,7 @@ from cforge import (
     solve_reparam,
     taylor_coeffs,
 )
+from cforge import reparam_solver
 from cforge.errors import InputError, NonMonotoneThetaError
 from cforge.reparam_solver import PolynomialMap
 from cforge.suites import jordan_positive_curve, planted_oracle_curve
@@ -74,6 +75,76 @@ class TestKernels:
             speed = abs(eval_curve(derivative_curve(wavy_curve, 1), t))
             expect = curvature(wavy_curve, t) * speed / 2.0 - 0.5
             assert kernel_K(wavy_curve, t, t) == pytest.approx(expect, abs=1e-12)
+
+
+def _random_curve(ks, seed):
+    rng = np.random.default_rng(seed)
+    ks = np.asarray(ks)
+    cs = (rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)) / (
+        1.0 + np.abs(ks)
+    ) ** 2
+    return FourierCurve(tuple(ks), tuple(cs))
+
+
+class TestChordGrid:
+    """The factored grid against the chord quotient written out directly."""
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            _random_curve(np.arange(-64, 65), 3),  # both signs, 129 terms
+            _random_curve(np.arange(1, 9), 4),  # positive ks only
+            _random_curve(np.arange(-9, 0), 5),  # negative ks only
+            FourierCurve((-2, 0, 1, 3), (0.2, 0.0, 1.0, 0.1j)),  # zero c_0
+        ],
+        ids=["both", "positive", "negative", "zero_c0"],
+    )
+    def test_matches_direct_quotient(self, curve):
+        from cforge import derivative_curve
+
+        P = 256
+        W, Wt = reparam_solver._chord_quotient_grids(curve, P)
+        x = 2 * np.pi * np.arange(P) / P
+        tau, t = x[:, None], x[None, :]
+        z = eval_curve(curve, x)
+        dz = eval_curve(derivative_curve(curve, 1), x)
+        d2z = eval_curve(derivative_curve(curve, 2), x)
+        # the direct forms cancel catastrophically near tau = t, so they are
+        # compared where |sin((tau - t)/2)| >= 0.1
+        far = np.abs(np.sin((tau - t) / 2)) >= 0.1
+        den = np.where(far, np.exp(1j * tau) - np.exp(1j * t), 1.0)
+        chord = z[:, None] - z[None, :]
+        W_direct = chord * np.exp(1j * t) / den
+        Wt_direct = (
+            np.exp(1j * t)
+            * (dz[:, None] * den - chord * 1j * np.exp(1j * tau))
+            / den**2
+        )
+        scale, scale_t = np.max(np.abs(W)), np.max(np.abs(Wt))
+        assert np.max(np.abs(W - W_direct)[far]) < 1e-12 * scale
+        assert np.max(np.abs(Wt - Wt_direct)[far]) < 1e-12 * scale_t
+        # diagonal limits: W(t,t) = -i z'(t), W_tau(t,t) = -(i z''(t) + z'(t))/2
+        assert np.max(np.abs(np.diag(W) + 1j * dz)) < 1e-12 * scale
+        assert np.max(np.abs(np.diag(Wt) + (1j * d2z + dz) / 2)) < 1e-12 * scale_t
+
+
+class TestAssemblyMemoryGuard:
+    def test_estimate(self):
+        est = reparam_solver._assembly_peak_bytes
+        # W, W_tau and |W| take 40 bytes per grid entry; the 48-term slender
+        # solve at P = 2400 stays near 0.23 GB, M = 2000 (P = 16000) is >10 GB
+        assert 40 * 2400**2 < est(2400, 48) < 0.25e9
+        assert est(16000, 2) > 10e9
+        cap = reparam_solver.ASSEMBLY_MAX_BYTES
+        assert est(2400, 48) < cap < est(16000, 2)
+
+    def test_rejects_before_allocating(self, unit_circle, monkeypatch):
+        def no_grids(curve, P):
+            raise AssertionError("grids allocated")
+
+        monkeypatch.setattr(reparam_solver, "_chord_quotient_grids", no_grids)
+        with pytest.raises(InputError, match="GiB"):
+            assemble_system(unit_circle, 2000, 16000)
 
 
 class TestConjugate:
