@@ -101,7 +101,8 @@ def _build_map(cfg: PipelineConfig) -> ComposedMap:
 
 def cmd_map(args) -> int:
     try:
-        payload = json.load(open(args.config, "r", encoding="utf-8"))
+        with open(args.config, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config {args.config}: {exc}") from exc
     if "config" in payload and "tool" in payload:
@@ -210,32 +211,42 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _read_manifest(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise InputError(f"manifest {path} must be a JSON object")
+    return manifest
+
+
 def _load_manifest_map(manifest_path: str) -> ComposedMap:
-    manifest = json.load(open(manifest_path, "r", encoding="utf-8"))
-    core = load_polynomial_map(manifest["outputs"]["core"])
-    stages = []
-    for desc in manifest["stages"]:
-        kind = desc["kind"]
-        if kind == "affine":
-            stages.append(
-                PlaneTransform(
-                    "affine",
-                    (complex(*desc["a"]), complex(*desc["b"])),
-                )
-            )
-        elif kind == "moebius":
-            stages.append(
-                PlaneTransform("moebius", tuple(complex(*v) for v in desc["abcd"]))
-            )
-        elif kind == "power":
-            stages.append(PlaneTransform("power", (desc["N"], desc["k"])))
-        else:
-            stages.append(
-                PlaneTransform("cf_root", (desc["k"], desc["N"], desc["n_iter"]))
-            )
+    manifest = _read_manifest(manifest_path)
+    try:
+        core_path = manifest["outputs"]["core"]
+        stages = tuple(_stage_from_dict(desc) for desc in manifest["stages"])
+    except KeyError as exc:
+        raise InputError(f"manifest {manifest_path} is missing the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed manifest {manifest_path}: {exc}") from exc
     return ComposedMap(
-        stages=tuple(stages), core=core, provenance=manifest.get("provenance", {})
+        stages=stages,
+        core=load_polynomial_map(core_path),
+        provenance=manifest.get("provenance", {}),
     )
+
+
+def _stage_from_dict(desc: dict) -> PlaneTransform:
+    kind = desc["kind"]
+    if kind == "affine":
+        return PlaneTransform("affine", (complex(*desc["a"]), complex(*desc["b"])))
+    if kind == "moebius":
+        return PlaneTransform("moebius", tuple(complex(*v) for v in desc["abcd"]))
+    if kind == "power":
+        return PlaneTransform("power", (desc["N"], desc["k"]))
+    return PlaneTransform("cf_root", (desc["k"], desc["N"], desc["n_iter"]))
 
 
 def cmd_render(args) -> int:
@@ -250,7 +261,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_report(args) -> int:
-    manifest = json.load(open(args.manifest, "r", encoding="utf-8"))
+    manifest = _read_manifest(args.manifest)
     diag = manifest.get("diagnostics", {})
     print(f"tool            : {manifest.get('tool')} {manifest.get('version')}")
     kind = manifest.get("provenance", {}).get("kind", "smooth")

@@ -264,7 +264,8 @@ def save_curve(curve: FourierCurve, path: str) -> None:
 
 def load_curve(path: str) -> FourierCurve:
     """Read a curve written by :func:`save_curve` (format sniffed from content)."""
-    text = open(path, "r", encoding="utf-8").read()
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

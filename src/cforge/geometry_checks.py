@@ -9,11 +9,10 @@ image of a polar net of the disk as a deterministic standalone SVG.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DomainError, InputError
 from .fourier_boundary import FourierCurve, derivative_curve, eval_curve
@@ -51,21 +50,15 @@ class DeviationReport:
         )
 
 
-def _threads() -> int:
-    env = os.environ.get("CFORGE_THREADS", "")
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else 1
-
-
 def _nearest_distance(points, target, grid: int):
     """Distance from each point to the target curve.
 
-    Nearest point over a 16x finer parameter grid of the target, then one
-    Newton step on the squared-distance stationarity condition when the
-    target is a Fourier curve (parametric callables skip the refinement).
+    The nearest of ``16 * grid`` uniform parameter samples of the target is
+    found by one k-d tree query over all points, and its distance is taken
+    as ``|p - z(s_j)|``.  When the target is a Fourier curve, one Newton
+    step on the squared-distance stationarity condition, clipped to one
+    sample spacing, refines the parameter and the smaller of the two
+    distances is kept; parametric callables skip the refinement.
     """
     fine = 16 * grid
     s = 2.0 * np.pi * np.arange(fine) / fine
@@ -76,37 +69,32 @@ def _nearest_distance(points, target, grid: int):
     else:
         tgt = np.asarray(target(s), dtype=complex)
         dcurve = d2curve = None
-
-    def block(chunk):
-        d = np.abs(chunk[:, None] - tgt[None, :])
-        j = np.argmin(d, axis=1)
-        best = d[np.arange(len(chunk)), j]
-        if dcurve is None:
-            return best
-        # one Newton step on g(s) = Re[(z(s)-p) conj(z'(s))] = 0
-        s0 = s[j]
-        for _ in range(1):
-            zs = eval_curve(target, s0)
-            zp = eval_curve(dcurve, s0)
-            zpp = eval_curve(d2curve, s0)
-            diff = zs - chunk
-            g = (diff * np.conj(zp)).real
-            gp = (np.abs(zp) ** 2 + (diff * np.conj(zpp)).real)
-            ok = np.abs(gp) > 1e-30
-            step = np.where(ok, g / np.where(ok, gp, 1.0), 0.0)
-            step = np.clip(step, -2.0 * np.pi / fine, 2.0 * np.pi / fine)
-            s0 = s0 - step
-        refined = np.abs(eval_curve(target, s0) - chunk)
-        return np.minimum(best, refined)
-
-    n_threads = _threads()
-    chunks = np.array_split(points, max(1, len(points) // 512))
-    if n_threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(block, chunks))
-    else:
-        parts = [block(c) for c in chunks]
-    return np.concatenate(parts)
+    if not np.all(np.isfinite(tgt)):
+        raise InputError("target curve has non-finite samples")
+    points = np.asarray(points, dtype=complex)
+    # a non-finite point keeps a non-finite distance, as the dense argmin gave
+    finite = np.isfinite(points)
+    j = np.zeros(len(points), dtype=np.intp)
+    tree = cKDTree(np.column_stack([tgt.real, tgt.imag]))
+    ok_pts = points[finite]
+    _, j[finite] = tree.query(np.column_stack([ok_pts.real, ok_pts.imag]))
+    best = np.abs(points - tgt[j])
+    if dcurve is None:
+        return best
+    # one Newton step on g(s) = Re[(z(s)-p) conj(z'(s))] = 0
+    s0 = s[j]
+    zs = eval_curve(target, s0)
+    zp = eval_curve(dcurve, s0)
+    zpp = eval_curve(d2curve, s0)
+    diff = zs - points
+    g = (diff * np.conj(zp)).real
+    gp = (np.abs(zp) ** 2 + (diff * np.conj(zpp)).real)
+    ok = np.abs(gp) > 1e-30
+    step = np.where(ok, g / np.where(ok, gp, 1.0), 0.0)
+    step = np.clip(step, -2.0 * np.pi / fine, 2.0 * np.pi / fine)
+    s0 = s0 - step
+    refined = np.abs(eval_curve(target, s0) - points)
+    return np.minimum(best, refined)
 
 
 def boundary_deviation(

@@ -232,9 +232,10 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(payload, base_dir: str = ".") -> "PipelineConfig":
-        """Build a config from a JSON string / dict (see docs for the schema)."""
-        import os
+        """Build a config from a JSON string / dict (see docs for the schema).
 
+        Missing or mistyped fields raise :class:`InputError`.
+        """
         if isinstance(payload, str):
             try:
                 payload = json.loads(payload)
@@ -242,6 +243,17 @@ class PipelineConfig:
                 raise InputError(f"malformed config JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise InputError("config JSON must be an object")
+        try:
+            return PipelineConfig._from_dict(payload, base_dir)
+        except KeyError as exc:
+            raise InputError(f"config is missing the key {exc}") from exc
+        except (IndexError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed config: {exc}") from exc
+
+    @staticmethod
+    def _from_dict(payload: dict, base_dir: str) -> "PipelineConfig":
+        import os
+
         bnd = payload.get("boundary")
         curve = None
         samples = None
@@ -249,7 +261,8 @@ class PipelineConfig:
             path = bnd["file"]
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
-            text = open(path, "r", encoding="utf-8").read()
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
             header = text.splitlines()[0].strip().lower() if text else ""
             if text.lstrip().startswith("{") or header == "k,re,im":
                 curve = load_curve(path)

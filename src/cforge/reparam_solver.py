@@ -58,6 +58,10 @@ __all__ = [
 QUOTIENT_TOL = 1e-13
 # largest peak memory assemble_system may take (P = 2400 needs about 0.23 GB)
 ASSEMBLY_MAX_BYTES = 4 * 2**30
+# largest |theta(t) - theta*| the correspondence inverse may leave
+INVERSE_TOL = 1e-10
+# samples per grid interval in the inverse's seed table
+INVERSE_UPSAMPLE = 16
 
 
 @dataclass(frozen=True)
@@ -435,21 +439,30 @@ def correspondence_inverse(theta_grid: np.ndarray):
     """Monotone inverse ``t(theta)`` of a strictly increasing correspondence.
 
     ``theta_grid`` holds ``theta`` at ``len(theta_grid)`` uniform parameters.
-    Each query is bracketed on the grid, bisected, and polished with Newton
-    steps on the trigonometric interpolant of ``theta(t) - t``; the inverse
+    A seed table samples the trigonometric interpolant of ``theta(t) - t``
+    ``INVERSE_UPSAMPLE`` times finer (one zero-padded inverse real FFT),
+    closed by ``theta_0 + 2 pi`` and made monotone.  Each query is seeded by
+    linear interpolation in that table and polished by 2 Newton steps on
+    the exact interpolant, each clipped to the seed's table interval
+    widened by one table step.  A final residual ``max|theta(t) - theta*|``
+    above ``INVERSE_TOL`` raises :class:`SolverError`.  The inverse
     satisfies ``t(theta + 2 pi) = t(theta) + 2 pi``.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     P = len(theta_grid)
-    t_grid = _grid(P)
     theta0 = theta_grid[0]
-    v_ev, v_prime = periodic_interpolator(theta_grid - t_grid)
+    v = theta_grid - _grid(P)
+    v_ev, v_prime = periodic_interpolator(v)
 
-    def theta_of(t):
-        return np.asarray(t, dtype=float) + v_ev(t)
-
-    def theta_prime(t):
-        return 1.0 + v_prime(t)
+    fine = INVERSE_UPSAMPLE * P
+    spectrum = np.fft.rfft(v)
+    if P % 2 == 0:
+        spectrum[-1] *= 0.5  # the Nyquist mode splits between +-P/2
+    t_tab = _grid(fine)
+    th_tab = t_tab + np.fft.irfft(spectrum, fine) * (fine / P)
+    t_tab = np.append(t_tab, 2.0 * np.pi)
+    th_tab = np.maximum.accumulate(np.append(th_tab, theta0 + 2.0 * np.pi))
+    h = 2.0 * np.pi / fine
 
     def inverse(theta):
         theta = np.asarray(theta, dtype=float)
@@ -457,18 +470,18 @@ def correspondence_inverse(theta_grid: np.ndarray):
         th = np.atleast_1d(theta).astype(float)
         turns = np.floor((th - theta0) / (2.0 * np.pi))
         th_red = th - 2.0 * np.pi * turns
-        j = np.clip(np.searchsorted(theta_grid, th_red) - 1, 0, P - 1)
-        lo = t_grid[j]
-        hi = lo + 2.0 * np.pi / P
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            below = theta_of(mid) < th_red
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        t = 0.5 * (lo + hi)
-        for _ in range(3):
-            step = (theta_of(t) - th_red) / theta_prime(t)
-            t = np.clip(t - step, lo - 2.0 / P, hi + 2.0 / P)
+        t = np.interp(th_red, th_tab, t_tab)
+        j = np.clip(np.floor(t / h), 0, fine - 1)
+        lo, hi = (j - 1.0) * h, (j + 2.0) * h
+        for _ in range(2):
+            step = (t + v_ev(t) - th_red) / (1.0 + v_prime(t))
+            t = np.clip(t - step, lo, hi)
+        resid = float(np.max(np.abs(t + v_ev(t) - th_red), initial=0.0))
+        if not resid <= INVERSE_TOL:
+            raise SolverError(
+                f"correspondence inverse residual {resid:.3e} "
+                f"exceeds {INVERSE_TOL:.1e}"
+            )
         t = t + 2.0 * np.pi * turns
         return float(t[0]) if scalar else t
 
@@ -574,7 +587,8 @@ def load_polynomial_map(path: str) -> PolynomialMap:
     meta_path = str(path) + ".meta.json"
     meta = {}
     if os.path.exists(meta_path):
-        meta = json.load(open(meta_path, "r", encoding="utf-8"))
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
     return PolynomialMap(
         coeffs=coeffs,
         neg_residual=float(meta.get("neg_residual", float("nan"))),

@@ -305,7 +305,8 @@ def load_rational_map(path: str):
     """Read :func:`save_rational_map` output; returns (RationalMap, CFApproximant)."""
     import json
 
-    payload = json.load(open(path, "r", encoding="utf-8"))
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
     try:
         rmap = RationalMap(
             num=tuple(complex(a, b) for a, b in payload["num"]),

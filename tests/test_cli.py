@@ -176,6 +176,22 @@ class TestMap:
         ) == 2
 
 
+    def test_coeff_without_im_exit_2(self, tmp_path, capsys):
+        cfg = circle_config(
+            tmp_path, boundary={"coeffs": [{"k": 1, "re": 1.0}]}
+        )
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o4")]) == 2
+        assert "'im'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["t0", "k", "N"])
+    def test_corner_without_field_exit_2(self, tmp_path, capsys, key):
+        corner = {"t0": 0.0, "k": 1, "N": 2}
+        del corner[key]
+        cfg = circle_config(tmp_path, corner=corner)
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o5")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_single_suite(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -212,6 +228,32 @@ class TestRenderReport:
         text = capsys.readouterr().out
         assert "sup_deviation" in text
         assert "pipeline        : smooth" in text
+
+
+    @pytest.mark.parametrize("key", ["outputs", "stages"])
+    def test_render_manifest_without_key_exit_2(self, tmp_path, capsys, key):
+        out = tmp_path / "run"
+        main(["map", "--config", circle_config(tmp_path), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest[key]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(
+            ["render", "--manifest", str(broken), "--out", str(tmp_path / "n.svg")]
+        ) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "n.svg").exists()
+
+    @pytest.mark.parametrize("command", ["render", "report"])
+    def test_manifest_not_json_object_exit_2(self, tmp_path, command):
+        for text in ("{not json", "[1, 2]"):
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            argv = [command, "--manifest", str(bad)]
+            if command == "render":
+                argv += ["--out", str(tmp_path / "n.svg")]
+            assert main(argv) == 2
 
 
 def test_map_slender_dispatch(tmp_path):

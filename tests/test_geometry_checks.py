@@ -14,6 +14,8 @@ from cforge import (
     univalence_check,
 )
 from cforge.errors import InputError
+from cforge.fourier_boundary import derivative_curve, eval_curve
+from cforge.geometry_checks import _nearest_distance
 from cforge.pipelines import ComposedMap
 from cforge.reparam_solver import PolynomialMap
 
@@ -56,10 +58,69 @@ class TestBoundaryDeviation:
         with pytest.raises(InputError):
             boundary_deviation(identity_map(), unit_circle, grid=128)
 
-    def test_threads_env(self, unit_circle, monkeypatch):
-        monkeypatch.setenv("CFORGE_THREADS", "2")
-        rep = boundary_deviation(identity_map(), unit_circle, grid=2048)
-        assert rep.sup_deviation < 1e-12
+
+
+def _dense_nearest(points, target, grid):
+    """Reference for ``_nearest_distance``: argmin over the full distance
+    matrix to the 16x fine samples, then the same clipped Newton step."""
+    fine = 16 * grid
+    s = 2.0 * np.pi * np.arange(fine) / fine
+    fourier = isinstance(target, FourierCurve)
+    tgt = eval_curve(target, s) if fourier else np.asarray(target(s), dtype=complex)
+    d = np.abs(points[:, None] - tgt[None, :])
+    j = np.argmin(d, axis=1)
+    best = d[np.arange(len(points)), j]
+    if not fourier:
+        return best
+    zs = eval_curve(target, s[j])
+    zp = eval_curve(derivative_curve(target, 1), s[j])
+    zpp = eval_curve(derivative_curve(target, 2), s[j])
+    diff = zs - points
+    g = (diff * np.conj(zp)).real
+    gp = np.abs(zp) ** 2 + (diff * np.conj(zpp)).real
+    ok = np.abs(gp) > 1e-30
+    step = np.where(ok, g / np.where(ok, gp, 1.0), 0.0)
+    step = np.clip(step, -2.0 * np.pi / fine, 2.0 * np.pi / fine)
+    refined = np.abs(eval_curve(target, s[j] - step) - points)
+    return np.minimum(best, refined)
+
+
+class TestNearestDistance:
+    # the ellipse x^2 + 16 y^2 = 1
+    ellipse = FourierCurve((-1, 1), (0.375, 0.625))
+
+    def off_curve_points(self, rng, n=600):
+        t = rng.uniform(0.0, 2.0 * np.pi, n)
+        scale = rng.uniform(0.7, 1.3, n)
+        jitter = 0.02 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        return scale * eval_curve(self.ellipse, t) + jitter
+
+    def test_fourier_target_matches_dense_reference(self, rng):
+        points = self.off_curve_points(rng)
+        got = _nearest_distance(points, self.ellipse, 256)
+        assert np.array_equal(got, _dense_nearest(points, self.ellipse, 256))
+        assert np.min(got) < 1e-2 and np.max(got) > 0.1
+
+    def test_parametric_target_matches_dense_reference(self, rng):
+        def target(s):
+            return np.cos(s) + 0.25j * np.sin(s)
+
+        points = self.off_curve_points(rng)
+        got = _nearest_distance(points, target, 256)
+        assert np.array_equal(got, _dense_nearest(points, target, 256))
+
+    def test_non_finite_point_keeps_non_finite_distance(self):
+        points = np.array([1.1 + 0.0j, complex(np.nan, 0.0), complex(np.inf, 1.0)])
+        with np.errstate(invalid="ignore"):
+            got = _nearest_distance(points, self.ellipse, 256)
+        assert got[0] == pytest.approx(0.1, abs=1e-12)
+        assert np.isnan(got[1]) and not np.isfinite(got[2])
+
+    def test_non_finite_target_rejected(self):
+        with pytest.raises(InputError):
+            _nearest_distance(
+                np.array([0.5 + 0.0j]), lambda s: np.full(s.shape, np.nan), 256
+            )
 
 
 class TestUnivalence:

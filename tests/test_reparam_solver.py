@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cforge import (
     FourierCurve,
@@ -15,8 +17,8 @@ from cforge import (
     taylor_coeffs,
 )
 from cforge import reparam_solver
-from cforge.errors import InputError, NonMonotoneThetaError
-from cforge.reparam_solver import PolynomialMap
+from cforge.errors import InputError, NonMonotoneThetaError, SolverError
+from cforge.reparam_solver import INVERSE_TOL, PolynomialMap, correspondence_inverse
 from cforge.suites import jordan_positive_curve, planted_oracle_curve
 
 
@@ -275,6 +277,62 @@ class TestInvertTheta:
         )
         with pytest.raises(NonMonotoneThetaError):
             invert_theta(bad)
+
+
+class TestCorrespondenceInverse:
+    @staticmethod
+    def band_limited_theta(shift, amps, phases):
+        """``theta(t) = shift + t + sum_k a_k sin(k t + phi_k)``; monotone when
+        ``sum_k k |a_k| < 1``."""
+        ks = np.arange(1, len(amps) + 1)
+
+        def theta(t):
+            t = np.asarray(t, dtype=float)
+            wave = np.sin(np.multiply.outer(t, ks) + phases) @ np.asarray(amps)
+            return shift + t + wave
+
+        return theta
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        shift=st.floats(-np.pi, np.pi),
+        weights=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+        slack=st.floats(0.02, 0.9),
+        phase=st.floats(0.0, 2 * np.pi),
+        P=st.sampled_from([32, 64, 128, 256]),
+        queries=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40),
+    )
+    def test_round_trip(self, shift, weights, slack, phase, P, queries):
+        # scale the modes so that min theta' >= slack
+        ks = np.arange(1, len(weights) + 1)
+        mass = float(np.sum(ks * np.abs(weights)))
+        amps = np.asarray(weights) * ((1.0 - slack) / mass if mass > 0 else 0.0)
+        theta = self.band_limited_theta(shift, amps, phase * ks)
+        inv = correspondence_inverse(theta(2 * np.pi * np.arange(P) / P))
+        th = np.asarray(queries)
+        t = inv(th)
+        assert np.max(np.abs(theta(t) - th)) <= INVERSE_TOL
+        t0 = inv(float(th[0]))
+        assert isinstance(t0, float)
+        assert abs(float(theta(t0)) - th[0]) <= INVERSE_TOL
+
+    def test_tolerance_zero_raises(self, monkeypatch):
+        theta = self.band_limited_theta(0.0, [0.3], [0.0])
+        inv = correspondence_inverse(theta(2 * np.pi * np.arange(64) / 64))
+        monkeypatch.setattr(reparam_solver, "INVERSE_TOL", 0.0)
+        with pytest.raises(SolverError, match="residual"):
+            inv(np.linspace(-7.0, 7.0, 101))
+
+    def test_steep_monotone_theta(self):
+        # theta' = 1 + 0.999 cos t drops to 1e-3 at t = pi
+        theta = self.band_limited_theta(0.0, [0.999], [0.0])
+        inv = correspondence_inverse(theta(2 * np.pi * np.arange(64) / 64))
+        th = np.concatenate(
+            [np.pi + np.linspace(-1e-2, 1e-2, 401), np.linspace(-10.0, 10.0, 401)]
+        )
+        t = inv(th)
+        assert np.max(np.abs(theta(t) - th)) <= INVERSE_TOL
+        assert np.all(np.diff(t[401:]) > 0.0)
 
 
 class TestTaylor:
