@@ -13,12 +13,18 @@ the finite geometric-sum factorization of ``e^{ik tau} - e^{ik t}``, so the
 diagonal ``tau = t`` is a regular point and no limits are taken.  Swapping
 the order of the two finite sums makes the quotient a rank-``2L`` product
 ``A(tau) B(t)`` (``L = max|k|`` over the curve), whose factors are Hankel
-matrices of the coefficients applied to powers of ``e^{+-ix}``: the
-``P x P`` grid is two complex matrix products, and the scalar kernels use
-one row and one column of the same factors.  Truncating ``q`` at ``M``
-modes and projecting yields a dense ``2M x 2M`` block system; the
+matrices of the coefficients applied to powers of ``e^{+-ix}``; the scalar
+kernels use one row and one column of the same factors.  Truncating ``q``
+at ``M`` modes and projecting yields a dense ``2M x 2M`` block system; the
 right-hand side combines the conjugate function of ``ln|z|`` (the
 separated cotangent part) with the remaining continuous-kernel integral.
+
+The trapezoid projection of the sampled kernel onto ``cos(lt), sin(lt)``
+is a discrete Fourier transform, so assembly streams over blocks of
+``ASSEMBLY_ROWS`` tau rows: each block of the quotient is built from the
+factors, transformed along t by one real FFT per row, and dropped, and a
+second real FFT along tau of the ``P x 2M`` row spectra gives the blocks.
+No ``P x P`` array is ever allocated.
 """
 
 from __future__ import annotations
@@ -56,8 +62,10 @@ __all__ = [
 
 # chord quotient magnitudes below this mean a degenerate / self-crossing curve
 QUOTIENT_TOL = 1e-13
-# largest peak memory assemble_system may take (P = 2400 needs about 0.23 GB)
+# largest peak memory assemble_system and the solve may take
 ASSEMBLY_MAX_BYTES = 4 * 2**30
+# tau rows of the chord-quotient grid alive at a time during assembly
+ASSEMBLY_ROWS = 128
 # largest |theta(t) - theta*| the correspondence inverse may leave
 INVERSE_TOL = 1e-10
 # samples per grid interval in the inverse's seed table
@@ -66,21 +74,37 @@ INVERSE_UPSAMPLE = 16
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Dense blocks of the truncated system ``[[AA, AB], [BA, BB]] x = [F; G]``."""
+    """The truncated system ``[[AA, AB], [BA, BB]] x = [F; G]``.
 
-    AA: np.ndarray
-    AB: np.ndarray
-    BA: np.ndarray
-    BB: np.ndarray
+    The matrix is one ``2M x 2M`` array; the four blocks are views of it.
+    """
+
+    A: np.ndarray
     F: np.ndarray
     G: np.ndarray
 
     @property
     def M(self) -> int:
-        return self.AA.shape[0]
+        return self.A.shape[0] // 2
+
+    @property
+    def AA(self) -> np.ndarray:
+        return self.A[: self.M, : self.M]
+
+    @property
+    def AB(self) -> np.ndarray:
+        return self.A[: self.M, self.M :]
+
+    @property
+    def BA(self) -> np.ndarray:
+        return self.A[self.M :, : self.M]
+
+    @property
+    def BB(self) -> np.ndarray:
+        return self.A[self.M :, self.M :]
 
     def matrix(self) -> np.ndarray:
-        return np.block([[self.AA, self.AB], [self.BA, self.BB]])
+        return self.A
 
     def rhs(self) -> np.ndarray:
         return np.concatenate([self.F, self.G])
@@ -183,7 +207,9 @@ def periodic_interpolator(values: np.ndarray):
     vh = np.fft.fft(values) / P
     half = P // 2
     mean = vh[0].real
-    coef = 2.0 * vh[1:half]
+    # modes 1..(P-1)//2 pair with their negatives; for even P the Nyquist
+    # mode P/2 is real and kept apart
+    coef = 2.0 * vh[1 : (P + 1) // 2]
     nyquist = vh[half].real if P % 2 == 0 and half >= 1 else 0.0
 
     def _horner(t, c):
@@ -206,7 +232,7 @@ def periodic_interpolator(values: np.ndarray):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        p = np.arange(1, half)
+        p = np.arange(1, len(coef) + 1)
         out = _horner(t, 1j * p * coef).real
         if P % 2 == 0:
             out += -half * nyquist * np.sin(half * t)
@@ -261,8 +287,9 @@ def _chord_factors(curve: FourierCurve, tau, t):
     return A, A_tau, B
 
 
-def _chord_quotient_grids(curve: FourierCurve, P: int):
-    """Chord quotient ``W`` and its tau-derivative on the P x P uniform grid.
+def _chord_quotient_blocks(curve: FourierCurve, P: int):
+    """Chord quotient ``W`` and its tau-derivative on the P x P uniform grid,
+    ``ASSEMBLY_ROWS`` rows at a time.
 
     Row index runs over tau, column index over t.  Uses the factorization
     ``(z(tau)-z(t))/(e^{i tau}-e^{i t}) = e^{-it} W(tau,t)``, where W is
@@ -271,12 +298,15 @@ def _chord_quotient_grids(curve: FourierCurve, P: int):
     tau-derivatives of log W and is dropped.
 
     W has rank at most ``2L`` (``L = max|k|``): with the factors of
-    :func:`_chord_factors` each grid is one complex ``P x 2L x P`` matrix
-    product, ``W = A B`` and ``W_tau = A_tau B``.
+    :func:`_chord_factors` each block is one complex matrix product,
+    ``W = A[r0:r1] B`` and ``W_tau = A_tau[r0:r1] B``.  Yields
+    ``(r0, W, W_tau)`` for the rows ``r0 .. r0 + len(W) - 1``.
     """
     tau = _grid(P)
     A, A_tau, B = _chord_factors(curve, tau, tau)
-    return A @ B, A_tau @ B
+    for r0 in range(0, P, ASSEMBLY_ROWS):
+        rows = slice(r0, r0 + ASSEMBLY_ROWS)
+        yield r0, A[rows] @ B, A_tau[rows] @ B
 
 
 def _quotient_floor(curve: FourierCurve) -> float:
@@ -323,17 +353,19 @@ def conjugate_periodic(a, b):
     return -b.copy(), a.copy()
 
 
-def _assembly_peak_bytes(P: int, rank: int) -> int:
-    """Upper bound on the peak memory of :func:`assemble_system`.
+def _assembly_peak_bytes(P: int, M: int, rank: int) -> int:
+    """Upper bound on the peak memory of assembling and solving the system.
 
-    At the peak the complex ``P x P`` grids ``W`` and ``W_tau`` (16 bytes an
-    entry each) are alive with either the three complex ``P x rank`` factors
-    they are built from or the real ``|W|`` temporary of the degeneracy
-    check (8 bytes an entry).  Later stages hold less: at most the
-    quotient, a real copy of the kernel, and ``M x P`` bases and products
-    (``P >= 4M``).
+    While :func:`assemble_system` streams, the real ``P x 2M`` row spectra
+    (16 bytes per ``P M``) are alive with the three complex ``P x rank``
+    factors (48 bytes per ``rank P``, up to 80 while they are built) and
+    one block of rows: ``W``, ``W_tau`` and either ``|W|`` or the block's
+    row spectra, about 48 bytes per ``ASSEMBLY_ROWS x P`` entry.  Their tau
+    spectrum then takes another 16 bytes per ``P M``, and the ``2M x 2M``
+    matrix plus the LU copy of :func:`solve_reparam` take 64 bytes per
+    ``M^2``.
     """
-    return 40 * P * P + 48 * rank * P
+    return 32 * P * M + (48 * ASSEMBLY_ROWS + 80 * rank) * P + 64 * M * M
 
 
 def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
@@ -341,58 +373,67 @@ def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
 
     The kernel is sampled on the ``P x P`` uniform grid and both integrals
     of every entry are evaluated with the periodic trapezoid rule (which is
-    the spectrally accurate choice for periodic integrands).  Requires
-    ``P >= 4M``; the curve must wind once around the origin.  Sizes whose
-    grids would need more than ``ASSEMBLY_MAX_BYTES`` are rejected before
-    anything is allocated.
+    the spectrally accurate choice for periodic integrands).  Each trapezoid
+    sum is a discrete Fourier transform, so the grid is streamed in blocks
+    of ``ASSEMBLY_ROWS`` tau rows: every row of the kernel ``K`` is
+    transformed along t by a real FFT, keeping modes ``1..M``, and the
+    ``L``-kernel part of the right-hand side is accumulated; one real FFT
+    along tau of those ``P x 2M`` row spectra then gives all four blocks.
+    Requires ``P >= 4M``; the curve must wind once around the origin.
+    Sizes whose peak would exceed ``ASSEMBLY_MAX_BYTES`` are rejected
+    before anything is allocated.
     """
     if M < 1:
         raise InputError("M must be >= 1")
     if P < 4 * M:
         raise InputError(f"grid size P={P} must be at least 4M={4 * M}")
-    need = _assembly_peak_bytes(P, curve.n + curve.m)
+    need = _assembly_peak_bytes(P, M, curve.n + curve.m)
     if need > ASSEMBLY_MAX_BYTES:
         raise InputError(
             f"assembly at M={M}, P={P} needs about {need / 2**30:.1f} GiB, "
             f"above the {ASSEMBLY_MAX_BYTES / 2**30:.0f} GiB cap"
         )
-    W, Wt = _chord_quotient_grids(curve, P)
-    if np.min(np.abs(W)) < _quotient_floor(curve):
-        raise SolverError(
-            "chord quotient vanished on the grid: curve is degenerate "
-            "or self-intersecting"
-        )
-    # in place, so that the grids never exceed the estimated peak
-    quot = np.divide(Wt, W, out=Wt)
-    del W
-    Kg = np.ascontiguousarray(quot.imag)  # a strided view slows the GEMMs
-    Lg = quot.real
+    floor = _quotient_floor(curve)
+    u = np.log(np.abs(eval_curve(curve, _grid(P))))
+    # row spectra: [sum_t K cos(pt) | sum_t K sin(pt)], p = 1..M, per tau
+    rows = np.empty((P, 2 * M))
+    ul = np.zeros(P)  # sum_tau ln|z(tau)| L(tau, t)
+    for r0, W, Wt in _chord_quotient_blocks(curve, P):
+        if np.min(np.abs(W)) < floor:
+            raise SolverError(
+                "chord quotient vanished on the grid: curve is degenerate "
+                "or self-intersecting"
+            )
+        quot = np.divide(Wt, W, out=Wt)
+        spec = np.fft.rfft(quot.imag, axis=1)[:, 1 : M + 1]
+        r1 = r0 + len(quot)
+        rows[r0:r1, :M] = spec.real
+        rows[r0:r1, M:] = -spec.imag
+        ul += (u[r0:r1] @ quot).real  # complex GEMV: quot.real is strided
+        del W, Wt, quot, spec  # so that one block is alive at a time
 
-    tau = _grid(P)
-    p = np.arange(1, M + 1)
-    C = np.cos(np.multiply.outer(p, tau))
-    S = np.sin(np.multiply.outer(p, tau))
-    KT = Kg.T
+    # X[l, j] = sum_tau e^{-il tau} rows[tau, j]: the cos(l tau) projection
+    # is Re X and the sin(l tau) projection -Im X
+    X = np.fft.rfft(rows, axis=0)[1 : M + 1]
+    del rows
     w = 4.0 / P**2  # (1/pi^2) * (2 pi / P)^2
-    CK = C @ KT
-    SK = S @ KT
-    AA = np.eye(M) - w * (CK @ C.T)
-    AB = -w * (CK @ S.T)
-    BA = -w * (SK @ C.T)
-    BB = np.eye(M) - w * (SK @ S.T)
+    A = np.empty((2 * M, 2 * M))
+    np.multiply(X.real.T, -w, out=A[:, :M])
+    np.multiply(X.imag.T, w, out=A[:, M:])
+    A[np.diag_indices(2 * M)] += 1.0
 
-    # right-hand side: conjugate of ln|z| plus the continuous-kernel part
-    u = np.log(np.abs(eval_curve(curve, tau)))
-    a = (2.0 / P) * (C @ u)
-    b = (2.0 / P) * (S @ u)
-    conj_a, conj_b = conjugate_periodic(a, b)
-    rl = (2.0 / P) * (u @ Lg)  # (1/pi) int ln|z(tau)| L(tau, t) dtau at t_j
-    F = -conj_a + (2.0 / P) * (C @ rl)
-    G = -conj_b + (2.0 / P) * (S @ rl)
-    for block in (AA, AB, BA, BB, F, G):
+    # right-hand side: conjugate of ln|z| plus the continuous-kernel part;
+    # (2/P) rfft(v)[1..M] = a - ib for the cosine/sine coefficients a, b
+    su = (2.0 / P) * np.fft.rfft(u)[1 : M + 1]
+    rl = (2.0 / P) * ul  # (1/pi) int ln|z(tau)| L(tau, t) dtau at t_j
+    sr = (2.0 / P) * np.fft.rfft(rl)[1 : M + 1]
+    conj_a, conj_b = conjugate_periodic(su.real, -su.imag)
+    F = -conj_a + sr.real
+    G = -conj_b - sr.imag
+    for block in (A, F, G):
         if not np.all(np.isfinite(block)):
             raise SolverError("non-finite entries in the projected system")
-    return BlockSystem(AA=AA, AB=AB, BA=BA, BB=BB, F=F, G=G)
+    return BlockSystem(A=A, F=F, G=G)
 
 
 def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:

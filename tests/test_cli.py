@@ -162,11 +162,11 @@ class TestMap:
     def test_oversized_grid_exit_2(self, tmp_path, monkeypatch):
         from cforge import reparam_solver
 
-        def no_grids(curve, P):
-            raise AssertionError("grids allocated")
+        def no_blocks(curve, P):
+            raise AssertionError("grid blocks allocated")
 
-        monkeypatch.setattr(reparam_solver, "_chord_quotient_grids", no_grids)
-        cfg = circle_config(tmp_path, M=2000, P=16000)
+        monkeypatch.setattr(reparam_solver, "_chord_quotient_blocks", no_blocks)
+        cfg = circle_config(tmp_path, M=8000, P=32000)
         assert main(["map", "--config", cfg, "--out", str(tmp_path / "big")]) == 2
 
     def test_missing_config_exit_2(self, tmp_path):

@@ -105,7 +105,11 @@ class TestChordGrid:
         from cforge import derivative_curve
 
         P = 256
-        W, Wt = reparam_solver._chord_quotient_grids(curve, P)
+        blocks = list(reparam_solver._chord_quotient_blocks(curve, P))
+        rows = reparam_solver.ASSEMBLY_ROWS
+        assert [r0 for r0, _, _ in blocks] == list(range(0, P, rows))
+        W = np.vstack([b[1] for b in blocks])
+        Wt = np.vstack([b[2] for b in blocks])
         x = 2 * np.pi * np.arange(P) / P
         tau, t = x[:, None], x[None, :]
         z = eval_curve(curve, x)
@@ -130,23 +134,53 @@ class TestChordGrid:
         assert np.max(np.abs(np.diag(Wt) + (1j * d2z + dz) / 2)) < 1e-12 * scale_t
 
 
+def _ellipse():
+    # x^2 + 16 y^2 = 1
+    return FourierCurve((-1, 1), (0.375, 0.625))
+
+
+def _traced_peak(fn, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestAssemblyMemoryGuard:
     def test_estimate(self):
         est = reparam_solver._assembly_peak_bytes
-        # W, W_tau and |W| take 40 bytes per grid entry; the 48-term slender
-        # solve at P = 2400 stays near 0.23 GB, M = 2000 (P = 16000) is >10 GB
-        assert 40 * 2400**2 < est(2400, 48) < 0.25e9
-        assert est(16000, 2) > 10e9
         cap = reparam_solver.ASSEMBLY_MAX_BYTES
-        assert est(2400, 48) < cap < est(16000, 2)
+        # the 48-term slender solve (M = 300, P = 2400) stays below 0.1 GB;
+        # M = 2000 at P = 16000 fits under the cap, M = 8000 at P = 32000 not
+        assert est(2400, 300, 48) < 0.1e9
+        assert est(16000, 2000, 2) < cap < est(32000, 8000, 2)
+
+    @pytest.mark.parametrize(
+        "curve, M, P",
+        [(_ellipse(), 300, 2400), (_random_curve(np.arange(-64, 65), 3), 128, 1024)],
+        ids=["ellipse", "terms129"],
+    )
+    def test_estimate_bounds_measured_peak(self, curve, M, P):
+        peak = _traced_peak(assemble_system, curve, M, P)
+        est = reparam_solver._assembly_peak_bytes(P, M, curve.n + curve.m)
+        assert peak <= est <= 4 * peak
+
+    def test_no_grid_sized_allocation(self):
+        # one real P x P array alone would take 8 P^2 bytes
+        P = 4096
+        assert _traced_peak(assemble_system, _ellipse(), 64, P) < 8 * P * P / 2
 
     def test_rejects_before_allocating(self, unit_circle, monkeypatch):
-        def no_grids(curve, P):
-            raise AssertionError("grids allocated")
+        def no_blocks(curve, P):
+            raise AssertionError("grid blocks allocated")
 
-        monkeypatch.setattr(reparam_solver, "_chord_quotient_grids", no_grids)
+        monkeypatch.setattr(reparam_solver, "_chord_quotient_blocks", no_blocks)
         with pytest.raises(InputError, match="GiB"):
-            assemble_system(unit_circle, 2000, 16000)
+            assemble_system(unit_circle, 8000, 32000)
 
 
 class TestConjugate:
@@ -194,6 +228,110 @@ class TestAssemble:
     def test_requires_grid_margin(self, unit_circle):
         with pytest.raises(InputError):
             assemble_system(unit_circle, 16, 32)
+
+
+def _dense_projection(curve, M, P):
+    """The system built from the whole P x P kernel grid by dense GEMMs."""
+    x = 2 * np.pi * np.arange(P) / P
+    A, A_tau, B = reparam_solver._chord_factors(curve, x, x)
+    quot = (A_tau @ B) / (A @ B)
+    K, L = np.ascontiguousarray(quot.imag), quot.real
+    p = np.arange(1, M + 1)
+    C = np.cos(np.multiply.outer(p, x))
+    S = np.sin(np.multiply.outer(p, x))
+    w = 4.0 / P**2
+    CK, SK = C @ K.T, S @ K.T
+    I = np.eye(M)
+    matrix = np.block(
+        [[I - w * (CK @ C.T), -w * (CK @ S.T)], [-w * (SK @ C.T), I - w * (SK @ S.T)]]
+    )
+    u = np.log(np.abs(eval_curve(curve, x)))
+    a, b = (2.0 / P) * (C @ u), (2.0 / P) * (S @ u)
+    rl = (2.0 / P) * (u @ L)
+    rhs = np.concatenate([b + (2.0 / P) * (C @ rl), -a + (2.0 / P) * (S @ rl)])
+    return matrix, rhs, rl
+
+
+class TestStreamedAssembly:
+    """Row-block FFT assembly against the dense trapezoid projection."""
+
+    @pytest.mark.parametrize(
+        "curve, M, P",
+        [
+            (_random_curve(np.arange(-64, 65), 3), 128, 1024),
+            (_ellipse(), 300, 2400),
+            # neither is a multiple of ASSEMBLY_ROWS; 1001 is odd
+            (_random_curve(np.arange(-5, 6), 7), 200, 1000),
+            (_random_curve(np.arange(-5, 6), 7), 200, 1001),
+        ],
+        ids=["terms129", "ellipse", "P1000", "P1001"],
+    )
+    def test_matches_dense_projection(self, curve, M, P):
+        matrix, rhs, rl = _dense_projection(curve, M, P)
+        sys_ = assemble_system(curve, M, P)
+        assert np.max(np.abs(sys_.matrix() - matrix)) <= 1e-13 * np.max(np.abs(matrix))
+        # the right-hand side is a difference of terms as large as rl
+        scale = max(np.max(np.abs(rhs)), np.max(np.abs(rl)))
+        assert np.max(np.abs(sys_.rhs() - rhs)) <= 1e-13 * scale
+
+    def test_blocks_are_views_of_the_matrix(self, wavy_curve):
+        sys_ = assemble_system(wavy_curve, 16, 128)
+        A = sys_.matrix()
+        assert A.shape == (32, 32)
+        for block, rows, cols in [
+            (sys_.AA, slice(0, 16), slice(0, 16)),
+            (sys_.AB, slice(0, 16), slice(16, 32)),
+            (sys_.BA, slice(16, 32), slice(0, 16)),
+            (sys_.BB, slice(16, 32), slice(16, 32)),
+        ]:
+            assert np.shares_memory(block, A)
+            assert np.array_equal(block, A[rows, cols])
+
+    def test_vanishing_quotient_in_last_partial_block(self):
+        # the cardioid e^{it} + c e^{2it}, c = -e^{-i t0}/2, has a cusp
+        # (z' = 0, so W(t0, t0) = -i z'(t0) = 0) at t0 = t_950 of P = 1000,
+        # which lies in the last, partial block of rows
+        P, j = 1000, 950
+        rows = reparam_solver.ASSEMBLY_ROWS
+        assert P % rows and j >= P - P % rows
+        t0 = 2 * np.pi * j / P
+        curve = FourierCurve((1, 2), (1.0, -0.5 * np.exp(-1j * t0)))
+        floor = reparam_solver._quotient_floor(curve)
+        for r0, W, _ in reparam_solver._chord_quotient_blocks(curve, P):
+            last = r0 + len(W) == P
+            assert (np.min(np.abs(W)) < floor) == last
+        with pytest.raises(SolverError, match="vanished"):
+            assemble_system(curve, 100, P)
+
+    def test_deterministic(self):
+        curve = _random_curve(np.arange(-8, 9), 11)
+        first = assemble_system(curve, 64, 1000)
+        again = assemble_system(curve, 64, 1000)
+        assert first.matrix().tobytes() == again.matrix().tobytes()
+        assert first.rhs().tobytes() == again.rhs().tobytes()
+
+
+class TestPeriodicInterpolator:
+    @pytest.mark.parametrize("P", [5, 7, 8])
+    def test_interpolates_nodes(self, P):
+        # P // 2 is the top mode the grid resolves: (P-1)/2 for odd P,
+        # the Nyquist mode for even P
+        t = 2 * np.pi * np.arange(P) / P
+        v = 0.3 + np.cos(2 * t) + 0.5 * np.cos(P // 2 * t + 0.4)
+        ev, _ = reparam_solver.periodic_interpolator(v)
+        assert np.max(np.abs(ev(t) - v)) < 1e-13
+
+    @pytest.mark.parametrize("P", [5, 7, 9])
+    def test_odd_grid_band_limited_off_nodes(self, P):
+        k = (P - 1) // 2
+        t = 2 * np.pi * np.arange(P) / P
+        s = np.linspace(0.05, 2 * np.pi, 37)
+        ev, ev_prime = reparam_solver.periodic_interpolator(
+            np.cos(2 * t) + 0.5 * np.sin(k * t)
+        )
+        assert np.max(np.abs(ev(s) - np.cos(2 * s) - 0.5 * np.sin(k * s))) < 1e-13
+        d = -2 * np.sin(2 * s) + 0.5 * k * np.cos(k * s)
+        assert np.max(np.abs(ev_prime(s) - d)) < 1e-12
 
 
 class TestSolve:
