@@ -57,4 +57,18 @@ from .root_cf import (
     sqrt_cf,
 )
 
+__all__ = [
+    "CornerGapQuery", "FourierCurve", "corner_gap_F", "curvature",
+    "derivative_curve", "eval_curve", "fit_from_samples", "load_curve",
+    "save_curve", "unwrap_arg", "DeviationReport", "boundary_deviation",
+    "render_polar_net", "univalence_check", "ComposedMap", "PipelineConfig",
+    "PlaneTransform", "corner_map", "evaluate_composed",
+    "measure_corner_angle", "slender_map", "smooth_map", "BlockSystem",
+    "PolynomialMap", "ReparamSolution", "assemble_system",
+    "conjugate_periodic", "invert_theta", "kernel_K", "kernel_L",
+    "load_polynomial_map", "save_polynomial_map", "solve_reparam",
+    "taylor_coeffs", "CFApproximant", "RationalMap", "cf_rational_form",
+    "rate_estimate", "root_cf", "sqrt_cf",
+]
+
 __version__ = "0.1.0"

@@ -10,14 +10,13 @@ SVG), ``report`` (manifest summary).  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, io
 from .errors import (
     CforgeError,
     DomainError,
@@ -33,7 +32,6 @@ from .pipelines import (
     ComposedMap,
     PipelineConfig,
     PlaneTransform,
-    _read_samples_csv,
     corner_map,
     slender_map,
     smooth_map,
@@ -49,14 +47,8 @@ EXIT_SOLVER = 4
 EXIT_PIPELINE = 5
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_fit(args) -> int:
-    samples = _read_samples_csv(args.samples)
+    samples = io.read_samples(args.samples)
     curve = fit_from_samples(samples, args.m, args.n)
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, args.name + ".csv")
@@ -72,7 +64,7 @@ def cmd_fit(args) -> int:
         "mean_deviation": float(np.mean(resid)),
     }
     report_path = os.path.join(args.out, args.name + ".fit.json")
-    _write_json(report_path, report)
+    io.write_json(report_path, report)
     print(f"wrote {curve_path} (max fit deviation {report['max_deviation']:.3e})")
     return EXIT_OK
 
@@ -100,11 +92,7 @@ def _build_map(cfg: PipelineConfig) -> ComposedMap:
 
 
 def cmd_map(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from exc
+    payload = io.read_json(args.config, "config")
     if "config" in payload and "tool" in payload:
         payload = payload["config"]  # accept a previous run's manifest
     cfg = PipelineConfig.from_json(payload, base_dir=os.path.dirname(args.config) or ".")
@@ -122,31 +110,28 @@ def cmd_map(args) -> int:
     report = boundary_deviation(cmap, target, grid=max(args.grid, 256))
     t_check = time.perf_counter() - t0
 
+    deviation = {
+        "sup_deviation": report.sup_deviation,
+        "mean_deviation": report.mean_deviation,
+        "neg_residual": report.neg_residual,
+        "univalence_winding": report.univalence_winding,
+        "monotone_theta": report.monotone_theta,
+        "corner_angle_measured": report.corner_angle_measured,
+    }
     deviation_path = os.path.join(args.out, "deviation.json")
-    _write_json(
-        deviation_path,
-        {
-            "sup_deviation": report.sup_deviation,
-            "mean_deviation": report.mean_deviation,
-            "neg_residual": report.neg_residual,
-            "univalence_winding": report.univalence_winding,
-            "monotone_theta": report.monotone_theta,
-            "corner_angle_measured": report.corner_angle_measured,
-        },
-    )
+    io.write_json(deviation_path, deviation)
 
     svg_path = None
     if args.render:
         svg_path = os.path.join(args.out, "net.svg")
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_polar_net(cmap))
+        io.write_text(svg_path, render_polar_net(cmap))
 
     manifest = {
         "tool": "cforge",
         "version": __version__,
         "config": cfg.snapshot(),
         "stages": [s.describe() for s in cmap.stages],
-        "provenance": _jsonable(cmap.provenance),
+        "provenance": cmap.provenance,
         "outputs": {
             "core": os.path.abspath(core_path),
             "core_meta": os.path.abspath(core_path) + ".meta.json",
@@ -154,18 +139,13 @@ def cmd_map(args) -> int:
             "svg": os.path.abspath(svg_path) if svg_path else None,
         },
         "diagnostics": {
-            "sup_deviation": report.sup_deviation,
-            "mean_deviation": report.mean_deviation,
-            "neg_residual": report.neg_residual,
-            "univalence_winding": report.univalence_winding,
-            "monotone_theta": report.monotone_theta,
-            "corner_angle_measured": report.corner_angle_measured,
+            **deviation,
             "solver_condition": cmap.provenance.get("solver", {}).get("condition"),
         },
         "timings": {"build_s": t_build, "check_s": t_check},
     }
     manifest_path = os.path.join(args.out, "manifest.json")
-    _write_json(manifest_path, manifest)
+    io.write_json(manifest_path, manifest)
     expected = [core_path, core_path + ".meta.json", deviation_path, manifest_path]
     if svg_path:
         expected.append(svg_path)
@@ -177,20 +157,6 @@ def cmd_map(args) -> int:
         f"winding {report.univalence_winding})"
     )
     return EXIT_OK
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return _jsonable(list(obj))
-    return obj
 
 
 def cmd_verify(args) -> int:
@@ -207,26 +173,15 @@ def cmd_verify(args) -> int:
             f"{rep['failures']} failures, worst margin {rep['worst_margin']:.3e})"
         )
     if args.out:
-        _write_json(args.out, {"seed": args.seed, "suites": reports})
+        io.write_json(args.out, {"seed": args.seed, "suites": reports})
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _read_manifest(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise InputError(f"manifest {path} must be a JSON object")
-    return manifest
-
-
 def _load_manifest_map(manifest_path: str) -> ComposedMap:
-    manifest = _read_manifest(manifest_path)
+    manifest = io.read_json(manifest_path, "manifest")
     try:
         core_path = manifest["outputs"]["core"]
-        stages = tuple(_stage_from_dict(desc) for desc in manifest["stages"])
+        stages = tuple(PlaneTransform.from_dict(d) for d in manifest["stages"])
     except KeyError as exc:
         raise InputError(f"manifest {manifest_path} is missing the key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -238,30 +193,18 @@ def _load_manifest_map(manifest_path: str) -> ComposedMap:
     )
 
 
-def _stage_from_dict(desc: dict) -> PlaneTransform:
-    kind = desc["kind"]
-    if kind == "affine":
-        return PlaneTransform("affine", (complex(*desc["a"]), complex(*desc["b"])))
-    if kind == "moebius":
-        return PlaneTransform("moebius", tuple(complex(*v) for v in desc["abcd"]))
-    if kind == "power":
-        return PlaneTransform("power", (desc["N"], desc["k"]))
-    return PlaneTransform("cf_root", (desc["k"], desc["N"], desc["n_iter"]))
-
-
 def cmd_render(args) -> int:
     cmap = _load_manifest_map(args.manifest)
     svg = render_polar_net(
         cmap, spokes=args.spokes, circles=args.circles, samples=args.samples
     )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    io.write_text(args.out, svg)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    manifest = _read_manifest(args.manifest)
+    manifest = io.read_json(args.manifest, "manifest")
     diag = manifest.get("diagnostics", {})
     print(f"tool            : {manifest.get('tool')} {manifest.get('version')}")
     kind = manifest.get("provenance", {}).get("kind", "smooth")

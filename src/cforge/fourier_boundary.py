@@ -10,14 +10,13 @@ converge at a corner point.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
+from . import io
 from .errors import FitError, InputError, QuadratureError, WindingError
 
 __all__ = [
@@ -29,6 +28,8 @@ __all__ = [
     "unwrap_arg",
     "corner_gap_F",
     "curvature",
+    "horner",
+    "unwrap_closed",
     "load_curve",
     "save_curve",
 ]
@@ -164,6 +165,33 @@ def fit_from_samples(points, m: int, n: int) -> FourierCurve:
     return FourierCurve(ks, cs)
 
 
+def horner(coeffs, z):
+    """``sum_k coeffs[k] z^k`` by Horner's rule; ``z`` scalar or array.
+
+    ``z`` is used as given: a Python scalar runs numpy's scalar arithmetic
+    and an array (0-d included) the array loops, which round differently,
+    so callers that need array rounding pass an array.
+    """
+    out = np.zeros_like(np.asarray(z, dtype=complex))
+    for c in coeffs[::-1]:
+        out = out * z + c
+    return out
+
+
+def unwrap_closed(values):
+    """Continuous argument of a sampled closed curve and its turn count.
+
+    Returns ``(arg, turns)``: ``np.unwrap`` of the arguments, and the
+    total change of argument around the curve, closed by the wrapped jump
+    from the last sample back to the first, in units of ``2 pi``.  The
+    turn count is not rounded, so callers can check that it is integral.
+    """
+    arg = np.angle(values)
+    a = np.unwrap(arg)
+    closing = (arg[0] - arg[-1] + np.pi) % (2.0 * np.pi) - np.pi
+    return a, (a[-1] - a[0] + closing) / (2.0 * np.pi)
+
+
 def unwrap_arg(curve: FourierCurve, grid_size: int):
     """Continuous branch of ``arg z(t)`` on the uniform grid of ``grid_size``.
 
@@ -180,10 +208,7 @@ def unwrap_arg(curve: FourierCurve, grid_size: int):
     scale = max(abs(c) for c in curve.cs)
     if np.min(np.abs(z)) < ORIGIN_TOL * max(1.0, scale):
         raise WindingError("curve passes through (or too close to) the origin")
-    a = np.unwrap(np.angle(z))
-    closing = np.angle(z[0]) - np.angle(z[-1])
-    closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
-    winding = (a[-1] - a[0] + closing) / (2.0 * np.pi)
+    a, winding = unwrap_closed(z)
     if abs(winding - round(winding)) > 1e-9:
         raise WindingError(f"winding about origin did not close: {winding}")
     if round(winding) != 1:
@@ -240,52 +265,18 @@ def curvature(curve: FourierCurve, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# persistence: CSV `k,re,im` and JSON {"coeffs": [{"k":..,"re":..,"im":..}]}
+# persistence: coefficient CSV or JSON; the formats live in cforge.io
 
 
 def save_curve(curve: FourierCurve, path: str) -> None:
     """Write the curve to ``path`` (.csv or .json decides the format)."""
     if str(path).endswith(".json"):
-        payload = {
-            "coeffs": [
-                {"k": k, "re": c.real, "im": c.imag}
-                for k, c in zip(curve.ks, curve.cs)
-            ]
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,re,im\n")
-        for k, c in zip(curve.ks, curve.cs):
-            fh.write(f"{k},{format(c.real, '.17g')},{format(c.imag, '.17g')}\n")
+        payload = {"coeffs": io.coeffs_to_json(curve.ks, curve.cs)}
+        io.write_json(path, payload, sort_keys=False)
+    else:
+        io.write_kri(path, curve.ks, curve.cs)
 
 
 def load_curve(path: str) -> FourierCurve:
     """Read a curve written by :func:`save_curve` (format sniffed from content)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            payload = json.loads(text)
-            rows = [(int(e["k"]), complex(e["re"], e["im"])) for e in payload["coeffs"]]
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise InputError(f"malformed curve JSON {path}: {exc}") from exc
-    else:
-        rows = []
-        try:
-            reader = csv.reader(text.splitlines())
-            header = next(reader)
-            if [h.strip().lower() for h in header] != ["k", "re", "im"]:
-                raise ValueError(f"expected header k,re,im, got {header}")
-            for rec in reader:
-                if not rec:
-                    continue
-                rows.append((int(rec[0]), complex(float(rec[1]), float(rec[2]))))
-        except (ValueError, IndexError, StopIteration) as exc:
-            raise InputError(f"malformed curve CSV {path}: {exc}") from exc
-    if not rows:
-        raise InputError(f"no coefficients in {path}")
-    return FourierCurve(tuple(k for k, _ in rows), tuple(c for _, c in rows))
+    return FourierCurve(*zip(*io.read_curve(path)))

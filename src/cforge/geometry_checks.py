@@ -16,6 +16,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DomainError, InputError
 from .fourier_boundary import FourierCurve, derivative_curve, eval_curve
+from .fourier_boundary import horner, unwrap_closed
 from .pipelines import ComposedMap, evaluate_composed
 from .reparam_solver import PolynomialMap
 
@@ -140,19 +141,12 @@ def univalence_check(core: PolynomialMap, grid: int) -> int:
     if grid < 8 * core.degree:
         raise InputError("univalence grid must be at least 8 * degree")
     theta = 2.0 * np.pi * np.arange(grid) / grid
-    zeta = np.exp(1j * theta)
-    dcoeffs = core.derivative_coeffs()
-    vals = np.zeros(grid, dtype=complex)
-    for c in dcoeffs[::-1]:
-        vals = vals * zeta + c
+    vals = horner(core.derivative_coeffs(), np.exp(1j * theta))
     if np.min(np.abs(vals)) < 1e-12:
         raise InputError(
             "derivative vanishes on the unit circle; winding inconclusive"
         )
-    ang = np.unwrap(np.angle(vals))
-    closing = np.angle(vals[0]) - np.angle(vals[-1])
-    closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
-    return int(round((ang[-1] - ang[0] + closing) / (2.0 * np.pi)))
+    return int(round(unwrap_closed(vals)[1]))
 
 
 # ---------------------------------------------------------------------------

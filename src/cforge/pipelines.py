@@ -19,11 +19,11 @@ reproduced bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import io
 from .errors import (
     DomainError,
     InputError,
@@ -38,7 +38,8 @@ from .fourier_boundary import (
     derivative_curve,
     eval_curve,
     fit_from_samples,
-    load_curve,
+    horner,
+    unwrap_closed,
 )
 from .reparam_solver import (
     PolynomialMap,
@@ -74,6 +75,12 @@ ANCHOR_TIE_RTOL = 1e-9
 # residual |core(beta) - target| accepted, relative to max |core coefficient|
 REANCHOR_STEPS = 80
 REANCHOR_TOL = 1e-10
+# parameter names of each stage kind, in ``PlaneTransform.params`` order
+STAGE_FIELDS = {
+    "affine": ("a", "b"),
+    "power": ("N", "k"),
+    "cf_root": ("k", "N", "n_iter"),
+}
 
 
 @dataclass(frozen=True)
@@ -82,78 +89,68 @@ class PlaneTransform:
 
     kinds and parameter layouts:
       ``affine``:  (a, b) for ``z -> a z + b``
-      ``moebius``: (a, b, c, d) for ``z -> (a z + b)/(c z + d)``
       ``power``:   (N, k) two ints for the principal ``z -> z^(N/k)``
       ``cf_root``: (k, N, n_iter) for the recursive ``z^(k/N)`` approximant
+
+    :meth:`describe` gives the JSON form recorded in manifests and
+    :meth:`from_dict` reads it back.
     """
 
     kind: str
     params: tuple
 
     def __post_init__(self):
-        if self.kind == "affine":
-            a, b = self.params
-            if a == 0:
-                raise InputError("degenerate affine stage (a = 0)")
-            object.__setattr__(self, "params", (complex(a), complex(b)))
-        elif self.kind == "moebius":
-            a, b, c, d = (complex(v) for v in self.params)
-            if abs(a * d - b * c) <= 1e-12:
-                raise InputError("Moebius determinant too small")
-            object.__setattr__(self, "params", (a, b, c, d))
-        elif self.kind == "power":
-            N, k = self.params
-            if int(N) != N or int(k) != k:
-                raise InputError("power exponent must be an integer pair (N, k)")
-            object.__setattr__(self, "params", (int(N), int(k)))
-        elif self.kind == "cf_root":
-            k, N, n_iter = self.params
-            CFApproximant(int(k), int(N), int(n_iter))
-            object.__setattr__(self, "params", (int(k), int(N), int(n_iter)))
-        else:
+        if self.kind not in STAGE_FIELDS:
             raise InputError(f"unknown transform kind {self.kind!r}")
+        if len(self.params) != len(STAGE_FIELDS[self.kind]):
+            raise InputError(f"{self.kind} stage takes {STAGE_FIELDS[self.kind]}")
+        if self.kind == "affine":
+            params = tuple(complex(v) for v in self.params)
+            if params[0] == 0:
+                raise InputError("degenerate affine stage (a = 0)")
+        else:
+            params = tuple(int(v) for v in self.params)
+            if params != tuple(self.params):
+                raise InputError(f"{self.kind} parameters must be integers")
+            if self.kind == "power" and params[1] == 0:
+                raise InputError("degenerate power stage (k = 0)")
+            if self.kind == "cf_root":
+                CFApproximant(*params)
+        object.__setattr__(self, "params", params)
 
     def __call__(self, z, cf_domain: str = "slit"):
         z = np.asarray(z, dtype=complex)
         if self.kind == "affine":
             a, b = self.params
             out = a * z + b
-        elif self.kind == "moebius":
-            a, b, c, d = self.params
-            out = (a * z + b) / (c * z + d)
         elif self.kind == "power":
             N, k = self.params
-            if z.ndim == 0:
-                if z == 0:
-                    return 0.0j
-                return complex(np.exp((N / k) * np.log(z)))
             out = np.zeros_like(z)
             nz = z != 0
             out[nz] = np.exp((N / k) * np.log(z[nz]))
-            return out
         else:
             k, N, n_iter = self.params
             out = root_cf(z, CFApproximant(k, N, n_iter), domain=cf_domain)
             out = np.asarray(out, dtype=complex)
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        return complex(out) if out.ndim == 0 else out
 
     def describe(self) -> dict:
-        if self.kind == "affine":
-            a, b = self.params
-            return {"kind": "affine", "a": [a.real, a.imag], "b": [b.real, b.imag]}
-        if self.kind == "moebius":
-            a, b, c, d = self.params
-            return {
-                "kind": "moebius",
-                "abcd": [[v.real, v.imag] for v in (a, b, c, d)],
-            }
-        if self.kind == "power":
-            N, k = self.params
-            return {"kind": "power", "N": N, "k": k}
-        k, N, n_iter = self.params
-        return {"kind": "cf_root", "k": k, "N": N, "n_iter": n_iter}
+        """``{"kind": .., <parameter name>: value}``, complex as ``[re, im]``."""
+        out = {"kind": self.kind}
+        for name, v in zip(STAGE_FIELDS[self.kind], self.params):
+            out[name] = [v.real, v.imag] if isinstance(v, complex) else v
+        return out
+
+    @staticmethod
+    def from_dict(desc: dict) -> "PlaneTransform":
+        """Inverse of :meth:`describe`; a missing parameter raises KeyError."""
+        kind = desc["kind"]
+        if kind not in STAGE_FIELDS:
+            raise InputError(f"unknown transform kind {kind!r}")
+        params = tuple(desc[name] for name in STAGE_FIELDS[kind])
+        if kind == "affine":
+            params = tuple(complex(*v) for v in params)
+        return PlaneTransform(kind, params)
 
 
 @dataclass(frozen=True)
@@ -237,10 +234,7 @@ class PipelineConfig:
         Missing or mistyped fields raise :class:`InputError`.
         """
         if isinstance(payload, str):
-            try:
-                payload = json.loads(payload)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"malformed config JSON: {exc}") from exc
+            payload = io.parse_json(payload, "config JSON")
         if not isinstance(payload, dict):
             raise InputError("config JSON must be an object")
         try:
@@ -261,17 +255,11 @@ class PipelineConfig:
             path = bnd["file"]
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            header = text.splitlines()[0].strip().lower() if text else ""
-            if text.lstrip().startswith("{") or header == "k,re,im":
-                curve = load_curve(path)
-            else:
-                samples = _read_samples_csv(path)
+            rows, samples = io.read_boundary(path)
+            if rows is not None:
+                curve = FourierCurve(*zip(*rows))
         elif isinstance(bnd, dict) and "coeffs" in bnd:
-            curve = FourierCurve.from_coeffs(
-                {int(e["k"]): complex(e["re"], e["im"]) for e in bnd["coeffs"]}
-            )
+            curve = FourierCurve.from_coeffs(dict(io.coeffs_from_json(bnd["coeffs"])))
         elif isinstance(bnd, dict) and "samples" in bnd:
             samples = np.array(
                 [complex(p[0], p[1]) for p in bnd["samples"]], dtype=complex
@@ -295,10 +283,7 @@ class PipelineConfig:
         if isinstance(anchor, (list, tuple)):
             anchor = complex(anchor[0], anchor[1])
         kwargs = {}
-        for key in ("M", "n_iter", "refit_degree", "sample_grid"):
-            if payload.get(key) is not None:
-                kwargs[key] = int(payload[key])
-        for key in ("P", "D"):
+        for key in ("M", "P", "D", "n_iter", "refit_degree", "sample_grid"):
             if payload.get(key) is not None:
                 kwargs[key] = int(payload[key])
         if payload.get("refit_tol") is not None:
@@ -336,38 +321,13 @@ class PipelineConfig:
             out["anchor"] = self.anchor
         if self.boundary is not None:
             out["boundary"] = {
-                "coeffs": [
-                    {"k": k, "re": c.real, "im": c.imag}
-                    for k, c in zip(self.boundary.ks, self.boundary.cs)
-                ]
+                "coeffs": io.coeffs_to_json(self.boundary.ks, self.boundary.cs)
             }
         else:
             out["boundary"] = {
                 "samples": [[z.real, z.imag] for z in self.samples]
             }
         return out
-
-
-def _read_samples_csv(path: str) -> np.ndarray:
-    import csv
-
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip().lower() for h in next(reader)]
-        if header == ["t", "re", "im"]:
-            re_i, im_i = 1, 2
-        elif header == ["re", "im"]:
-            re_i, im_i = 0, 1
-        else:
-            raise InputError(f"expected samples header t,re,im or re,im in {path}")
-        for rec in reader:
-            if not rec:
-                continue
-            rows.append(complex(float(rec[re_i]), float(rec[im_i])))
-    if not rows:
-        raise InputError(f"no samples in {path}")
-    return np.asarray(rows, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +352,7 @@ def winding_number(points: np.ndarray, about: complex) -> int:
     w = points - about
     if np.min(np.abs(w)) < 1e-12 * (1.0 + np.max(np.abs(w))):
         raise PipelineError("winding undefined: point on the boundary")
-    ang = np.unwrap(np.angle(w))
-    closing = np.angle(w[0]) - np.angle(w[-1])
-    closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
-    total = ang[-1] - ang[0] + closing
-    return int(round(total / (2.0 * np.pi)))
+    return int(round(unwrap_closed(w)[1]))
 
 
 def _segments_intersect(p, p2, q, q2):
@@ -504,10 +460,6 @@ def smooth_map(cfg: PipelineConfig) -> ComposedMap:
     centroid = 0.0j if encloses else curve.coeff(0)
     centered = _translate(curve, -centroid)
     sol = solve_reparam(centered, cfg.M, cfg.P)
-    if not sol.monotone:
-        raise NonMonotoneThetaError(
-            "theta not monotone on the smooth boundary; increase M/P"
-        )
     core = taylor_coeffs(centered, sol, cfg.D)
     stages = []
     if centroid != 0:
@@ -571,10 +523,6 @@ def corner_map(cfg: PipelineConfig) -> ComposedMap:
     _, anchor = area_centroid(straightened)
     centered = _translate(straight_curve, -anchor)
     sol = solve_reparam(centered, cfg.M, cfg.P)
-    if not sol.monotone:
-        raise NonMonotoneThetaError(
-            "theta not monotone on the straightened boundary; increase M/P"
-        )
     core = taylor_coeffs(centered, sol, cfg.D)
     theta_corner = float(sol.theta(t0))
 
@@ -772,7 +720,7 @@ def _reanchor(theta_grid, core: PolynomialMap, old_anchor, new_anchor):
     dcoeffs = core.derivative_coeffs()
     beta = 0.0 + 0.0j
     for steps in range(1, REANCHOR_STEPS + 1):
-        step = (core(beta) - target) / _polyval(dcoeffs, beta)
+        step = (core(beta) - target) / complex(horner(dcoeffs, beta))
         beta -= step
         if abs(step) < 1e-15:
             break
@@ -790,13 +738,6 @@ def _reanchor(theta_grid, core: PolynomialMap, old_anchor, new_anchor):
     mob = (w - beta) / (1.0 - np.conj(beta) * w)
     theta = np.unwrap(np.angle(mob))
     return theta
-
-
-def _polyval(coeffs, z):
-    out = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in coeffs[::-1]:
-        out = out * z + c
-    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

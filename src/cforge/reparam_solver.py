@@ -35,13 +35,14 @@ import numpy as np
 from scipy.linalg import hankel, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
+from . import io
 from .errors import (
     InputError,
     NonMonotoneThetaError,
     SingularSystemError,
     SolverError,
 )
-from .fourier_boundary import FourierCurve, eval_curve, unwrap_arg
+from .fourier_boundary import FourierCurve, eval_curve, horner, unwrap_arg
 
 __all__ = [
     "BlockSystem",
@@ -131,22 +132,12 @@ class ReparamSolution:
 
     def q(self, t):
         """Evaluate the correction ``q(t)`` from its coefficients."""
-        t = np.asarray(t, dtype=float)
-        p = np.arange(1, self.M + 1)
-        return np.cos(np.multiply.outer(t, p)) @ self.alpha + np.sin(
-            np.multiply.outer(t, p)
-        ) @ self.beta
+        return _correction(self.alpha, self.beta, t)
 
     def theta(self, t):
         """Trigonometric interpolant of ``theta`` at arbitrary parameters."""
-        return np.asarray(t, dtype=float) + _periodic_interp(
-            self.theta_grid - _grid(self.grid_size), t
-        )
-
-    def theta_prime(self, t):
-        return 1.0 + _periodic_interp(
-            self.theta_grid - _grid(self.grid_size), t, derivative=True
-        )
+        ev, _ = periodic_interpolator(self.theta_grid - _grid(self.grid_size))
+        return np.asarray(t, dtype=float) + ev(t)
 
 
 @dataclass(frozen=True)
@@ -178,17 +169,18 @@ class PolynomialMap:
 
     def __call__(self, zeta):
         """Horner evaluation at ``zeta`` (scalar or array)."""
-        zeta = np.asarray(zeta, dtype=complex)
-        out = np.full(zeta.shape, self.coeffs[-1], dtype=complex)
-        for c in self.coeffs[-2::-1]:
-            out = out * zeta + c
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        out = horner(self.coeffs, np.asarray(zeta, dtype=complex))
+        return complex(out) if out.ndim == 0 else out
 
     def derivative_coeffs(self) -> np.ndarray:
         k = np.arange(1, len(self.coeffs))
         return self.coeffs[1:] * k
+
+
+def _correction(alpha, beta, t):
+    """``q(t) = sum_p alpha_p cos(pt) + beta_p sin(pt)``, ``p = 1..M``."""
+    pt = np.multiply.outer(np.asarray(t, dtype=float), np.arange(1, len(alpha) + 1))
+    return np.cos(pt) @ alpha + np.sin(pt) @ beta
 
 
 def _grid(P: int) -> np.ndarray:
@@ -212,18 +204,18 @@ def periodic_interpolator(values: np.ndarray):
     coef = 2.0 * vh[1 : (P + 1) // 2]
     nyquist = vh[half].real if P % 2 == 0 and half >= 1 else 0.0
 
-    def _horner(t, c):
+    def series(t, c):
+        """``sum_{p>=1} c[p-1] e^{ipt}``."""
         w = np.exp(1j * t)
-        s = np.zeros_like(w)
-        for cv in c[::-1]:
-            s = (s + cv) * w
-        return s
+        # this operand order keeps the bits of the fused (s + c) * w loop:
+        # complex products are not commutative under FMA
+        return horner(c, w) * w
 
     def ev(t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = mean + _horner(t, coef).real
+        out = mean + series(t, coef).real
         if P % 2 == 0:
             out += nyquist * np.cos(half * t)
         return float(out[0]) if scalar else out
@@ -233,17 +225,12 @@ def periodic_interpolator(values: np.ndarray):
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         p = np.arange(1, len(coef) + 1)
-        out = _horner(t, 1j * p * coef).real
+        out = series(t, 1j * p * coef).real
         if P % 2 == 0:
             out += -half * nyquist * np.sin(half * t)
         return float(out[0]) if scalar else out
 
     return ev, ev_prime
-
-
-def _periodic_interp(values: np.ndarray, t, derivative: bool = False):
-    ev, ev_prime = periodic_interpolator(values)
-    return ev_prime(t) if derivative else ev(t)
 
 
 def _chord_factors(curve: FourierCurve, tau, t):
@@ -456,13 +443,7 @@ def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
         )
     x = lu_solve((lu, piv), system.rhs())
     alpha, beta = x[:M], x[M:]
-    argz = unwrap_arg(curve, P)
-    t = _grid(P)
-    pr = np.arange(1, M + 1)
-    q = np.cos(np.multiply.outer(t, pr)) @ alpha + np.sin(
-        np.multiply.outer(t, pr)
-    ) @ beta
-    theta = argz + q
+    theta = unwrap_arg(curve, P) + _correction(alpha, beta, _grid(P))
     closing = theta[0] + 2.0 * np.pi - theta[-1]
     monotone = bool(np.all(np.diff(theta) > 0.0) and closing > 0.0)
     return ReparamSolution(
@@ -571,7 +552,8 @@ def taylor_coeffs(curve: FourierCurve, sol: ReparamSolution, D: int) -> Polynomi
     :func:`taylor_from_correspondence`), stamped with the solver resolution."""
     if not sol.monotone:
         raise NonMonotoneThetaError(
-            "cannot extract coefficients from a rejected correspondence"
+            "cannot extract coefficients from a rejected (non-monotone) "
+            "correspondence; increase M/P"
         )
     pmap = taylor_from_correspondence(curve, sol.theta_grid, D)
     return PolynomialMap(
@@ -583,56 +565,38 @@ def taylor_coeffs(curve: FourierCurve, sol: ReparamSolution, D: int) -> Polynomi
 
 
 # ---------------------------------------------------------------------------
-# persistence: CSV `k,re,im` (k >= 0) plus JSON sidecar with diagnostics
+# persistence (formats in cforge.io): coefficients (k >= 0) plus a sidecar
 
 
 def save_polynomial_map(pmap: PolynomialMap, path: str) -> None:
     """Write coefficients to ``path`` and diagnostics to ``path + '.meta.json'``."""
-    import json
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,re,im\n")
-        for k, c in enumerate(pmap.coeffs):
-            fh.write(f"{k},{format(c.real, '.17g')},{format(c.imag, '.17g')}\n")
+    io.write_kri(path, range(len(pmap.coeffs)), pmap.coeffs)
     sidecar = {
         "neg_residual": pmap.neg_residual,
         "M": pmap.solver_M,
         "P": pmap.solver_P,
         "gauge": "argc1=0",
     }
-    with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    io.write_json(str(path) + ".meta.json", sidecar)
 
 
 def load_polynomial_map(path: str) -> PolynomialMap:
-    import csv as _csv
-    import json
+    """Read :func:`save_polynomial_map` output; the sidecar is optional."""
     import os
 
-    rows = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        if [h.strip().lower() for h in header] != ["k", "re", "im"]:
-            raise InputError(f"expected header k,re,im in {path}")
-        for rec in reader:
-            if not rec:
-                continue
-            rows[int(rec[0])] = complex(float(rec[1]), float(rec[2]))
-    if not rows or min(rows) < 0:
+    rows = dict(io.read_kri(path))
+    if min(rows) < 0:
         raise InputError(f"polynomial map {path} must have k >= 0")
     coeffs = np.zeros(max(rows) + 1, dtype=complex)
-    for k, c in rows.items():
-        coeffs[k] = c
+    coeffs[list(rows)] = list(rows.values())
     meta_path = str(path) + ".meta.json"
-    meta = {}
-    if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    return PolynomialMap(
-        coeffs=coeffs,
-        neg_residual=float(meta.get("neg_residual", float("nan"))),
-        solver_M=int(meta.get("M", 0)),
-        solver_P=int(meta.get("P", 0)),
-    )
+    meta = io.read_json(meta_path, "sidecar") if os.path.exists(meta_path) else {}
+    try:
+        return PolynomialMap(
+            coeffs=coeffs,
+            neg_residual=float(meta.get("neg_residual", float("nan"))),
+            solver_M=int(meta.get("M", 0)),
+            solver_P=int(meta.get("P", 0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed sidecar {meta_path}: {exc}") from exc

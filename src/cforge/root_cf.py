@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
 from .errors import DegreeOverflowError, DomainError, InputError
+from .fourier_boundary import horner
 
 __all__ = [
     "CFApproximant",
@@ -81,12 +83,8 @@ class RationalMap:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        num = _polyval_ascending(self.num, z)
-        den = _polyval_ascending(self.den, z)
-        out = num / den
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        out = horner(self.num, z) / horner(self.den, z)
+        return complex(out) if out.ndim == 0 else out
 
 
 def _check_domain(z, domain):
@@ -201,13 +199,6 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c[: nz[-1] + 1]
 
 
-def _polyval_ascending(coeffs, z):
-    out = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in reversed(coeffs):
-        out = out * z + c
-    return out
-
-
 def _pmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.convolve(a, b)
     if len(out) > MAX_COEFFS:
@@ -287,8 +278,6 @@ def cf_rational_form(approx: CFApproximant) -> RationalMap:
 
 def save_rational_map(rmap: RationalMap, approx: CFApproximant, path: str) -> None:
     """Write the normal form as JSON with its recursion parameters."""
-    import json
-
     payload = {
         "num": [[c.real, c.imag] for c in rmap.num],
         "den": [[c.real, c.imag] for c in rmap.den],
@@ -296,17 +285,12 @@ def save_rational_map(rmap: RationalMap, approx: CFApproximant, path: str) -> No
         "N": approx.N,
         "n": approx.n_iter,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    io.write_json(path, payload)
 
 
 def load_rational_map(path: str):
     """Read :func:`save_rational_map` output; returns (RationalMap, CFApproximant)."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = io.read_json(path, "rational map JSON")
     try:
         rmap = RationalMap(
             num=tuple(complex(a, b) for a, b in payload["num"]),

@@ -274,3 +274,67 @@ def test_map_slender_dispatch(tmp_path):
     assert manifest["diagnostics"]["sup_deviation"] < 1e-3
     assert manifest["provenance"]["kind"] == "slender"
     assert manifest["provenance"]["slender"]["anchor_search"]
+
+
+def _fit_argv(tmp_path, text):
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    return ["fit", str(path), "-m", "0", "-n", "1", "--out", str(tmp_path)]
+
+
+def _empty_boundary_file_argv(tmp_path):
+    (tmp_path / "empty.csv").write_text("")
+    cfg = circle_config(tmp_path, boundary={"file": "empty.csv"})
+    return ["map", "--config", cfg, "--out", str(tmp_path / "run")]
+
+
+def _render_argv(tmp_path, name, text):
+    out = tmp_path / "run"
+    assert main(["map", "--config", circle_config(tmp_path), "--out", str(out)]) == 0
+    (out / name).write_text(text)
+    return ["render", "--manifest", str(out / "manifest.json"),
+            "--out", str(tmp_path / "n.svg")]
+
+
+MALFORMED_FILES = {
+    "samples-non-numeric": lambda p: _fit_argv(p, "re,im\n1.0,0.0\n0.0,abc\n"),
+    "samples-empty": lambda p: _fit_argv(p, ""),
+    "boundary-file-empty": _empty_boundary_file_argv,
+    "core-non-numeric": lambda p: _render_argv(
+        p, "core.csv", "k,re,im\n0,0,0\n1,abc,0\n"
+    ),
+    "sidecar-not-json": lambda p: _render_argv(p, "core.csv.meta.json", "{not json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_exit_2(tmp_path, capsys, case):
+    argv = MALFORMED_FILES[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+MOEBIUS_PARAMS = {"abcd": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+BAD_STAGES = {
+    "moebius": ({"kind": "moebius", **MOEBIUS_PARAMS}, "unknown transform kind"),
+    "spiral": ({"kind": "spiral", **MOEBIUS_PARAMS}, "unknown transform kind"),
+    "power-k0": ({"kind": "power", "N": 2, "k": 0}, "degenerate power stage"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STAGES))
+def test_render_bad_stage_exit_2(tmp_path, capsys, case):
+    stage, message = BAD_STAGES[case]
+    out = tmp_path / "run"
+    main(["map", "--config", circle_config(tmp_path), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["stages"] = [stage]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(
+        ["render", "--manifest", str(out / "manifest.json"),
+         "--out", str(tmp_path / "n.svg")]
+    ) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "n.svg").exists()

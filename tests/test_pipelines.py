@@ -45,10 +45,6 @@ class TestTransforms:
         tr = PlaneTransform("affine", (2.0, 1j))
         assert tr(1.0 + 0j) == pytest.approx(2.0 + 1j)
 
-    def test_moebius_determinant_guard(self):
-        with pytest.raises(InputError):
-            PlaneTransform("moebius", (1.0, 2.0, 0.5, 1.0))
-
     def test_power_principal(self):
         tr = PlaneTransform("power", (2, 1))
         assert tr(1j) == pytest.approx(-1.0, abs=1e-12)
