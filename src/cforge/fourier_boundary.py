@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import io
 from .errors import FitError, InputError, QuadratureError, WindingError
@@ -227,6 +226,8 @@ def corner_gap_F(query: CornerGapQuery) -> float:
     relative tolerance 1e-10.  The integrand is extended by its limit value
     0 at ``t = 0``, so the removable singularity never enters the rule.
     """
+    from scipy.integrate import quad
+
     n, eps, alpha = query.n, query.eps, query.alpha
 
     def integrand(t):

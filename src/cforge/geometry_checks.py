@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, InputError
 from .fourier_boundary import FourierCurve, derivative_curve, eval_curve
@@ -61,6 +60,8 @@ def _nearest_distance(points, target, grid: int):
     sample spacing, refines the parameter and the smaller of the two
     distances is kept; parametric callables skip the refinement.
     """
+    from scipy.spatial import cKDTree
+
     fine = 16 * grid
     s = 2.0 * np.pi * np.arange(fine) / fine
     if isinstance(target, FourierCurve):

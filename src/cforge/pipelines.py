@@ -220,10 +220,13 @@ class PipelineConfig:
             object.__setattr__(self, "P", 8 * self.M)
         if self.D is None:
             object.__setattr__(self, "D", 4 * self.M)
+        if self.sample_grid <= 0:
+            raise InputError(f"sample_grid must be positive, got {self.sample_grid}")
         if self.samples is not None:
-            object.__setattr__(
-                self, "samples", np.asarray(self.samples, dtype=complex).ravel()
-            )
+            samples = np.asarray(self.samples, dtype=complex).ravel()
+            if not np.all(np.isfinite(samples)):
+                raise InputError("boundary samples must be finite")
+            object.__setattr__(self, "samples", samples)
 
     # -- JSON round trip ----------------------------------------------------
 
@@ -356,14 +359,15 @@ def winding_number(points: np.ndarray, about: complex) -> int:
 
 
 def _segments_intersect(p, p2, q, q2):
-    """Vectorized proper-intersection test between segment batches."""
+    """Proper-intersection test of segments ``p-p2`` against ``q-q2``,
+    elementwise over broadcast batches."""
     d1 = p2 - p
     d2 = q2 - q
-    denom = d1.real[:, None] * d2.imag[None, :] - d1.imag[:, None] * d2.real[None, :]
-    dq = q[None, :] - p[:, None]
-    t = (dq.real * d2.imag[None, :] - dq.imag * d2.real[None, :])
-    s = (dq.real * d1.imag[:, None] - dq.imag * d1.real[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    denom = d1.real * d2.imag - d1.imag * d2.real
+    dq = q - p
+    t = dq.real * d2.imag - dq.imag * d2.real
+    s = dq.real * d1.imag - dq.imag * d1.real
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = t / denom
         s = s / denom
     eps = 1e-12
@@ -373,21 +377,38 @@ def _segments_intersect(p, p2, q, q2):
 
 
 def _check_simple(points: np.ndarray, label: str, max_check: int = 1024) -> None:
-    """Reject a self-intersecting closed polyline (coarsened to max_check)."""
+    """Reject a self-intersecting closed polyline (coarsened to max_check).
+
+    Two segments that cross have midpoints no further apart than the longer
+    of the two, so a k-d tree over the midpoints yields every candidate
+    pair.  Swapping the two segments negates both numerators and the
+    denominator of the intersection test exactly, so testing each
+    non-adjacent pair once as ``i < j`` and reporting the lexicographically
+    first hit gives the pair the all-pairs test reports.
+    """
+    from scipy.spatial import cKDTree
+
     n = len(points)
     step = max(1, n // max_check)
-    pts = points[::step]
-    m = len(pts)
-    a = pts
-    b = np.roll(pts, -1)
-    hit = _segments_intersect(a, b, a, b)
-    idx = np.arange(m)
-    neighbours = (np.abs(idx[:, None] - idx[None, :]) <= 1) | (
-        np.abs(idx[:, None] - idx[None, :]) >= m - 1
+    a = points[::step]
+    m = len(a)
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{label} has non-finite points")
+    b = np.roll(a, -1)
+    mid = 0.5 * a + 0.5 * b
+    # the relative slack covers rounding in the midpoints and the distances
+    r = float(np.max(np.abs(b - a), initial=0.0)) * (1.0 + 1e-9) + 1e-12 * float(
+        np.max(np.abs(mid), initial=0.0)
     )
-    hit &= ~neighbours
+    pairs = cKDTree(np.column_stack([mid.real, mid.imag])).query_pairs(
+        r, output_type="ndarray"
+    )
+    i, j = pairs.T  # i < j
+    far = (j - i > 1) & (j - i < m - 1)
+    i, j = i[far], j[far]
+    hit = _segments_intersect(a[i], b[i], a[j], b[j])
     if np.any(hit):
-        i, j = np.argwhere(hit)[0]
+        i, j = divmod(int(np.min(i[hit] * m + j[hit])), m)
         raise SelfIntersectionError(
             f"{label} self-intersects near samples {i * step} and {j * step}"
         )

@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hankel, lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
 
 from . import io
 from .errors import (
@@ -233,6 +231,13 @@ def periodic_interpolator(values: np.ndarray):
     return ev, ev_prime
 
 
+def _hankel(c: np.ndarray) -> np.ndarray:
+    """Square Hankel matrix ``H[i, j] = c[i + j]``, zero past the
+    anti-diagonal, as ``scipy.linalg.hankel(c)`` gives, in one gather."""
+    i = np.arange(len(c))
+    return np.concatenate([c, np.zeros_like(c)])[np.add.outer(i, i)]
+
+
 def _chord_factors(curve: FourierCurve, tau, t):
     """Low-rank factors of the chord quotient ``W`` and its tau-derivative.
 
@@ -259,8 +264,8 @@ def _chord_factors(curve: FourierCurve, tau, t):
     n, m = curve.n, curve.m
     lp = np.arange(n)
     ln = np.arange(m)
-    hp = hankel(np.array([coeffs.get(k, 0.0) for k in range(1, n + 1)], complex))
-    hn = hankel(np.array([coeffs.get(-k, 0.0) for k in range(1, m + 1)], complex))
+    hp = _hankel(np.array([coeffs.get(k, 0.0) for k in range(1, n + 1)], complex))
+    hn = _hankel(np.array([coeffs.get(-k, 0.0) for k in range(1, m + 1)], complex))
     Ap = np.exp(1j * np.multiply.outer(tau, lp))
     En = np.exp(-1j * np.multiply.outer(tau, ln + 1))
     A = np.hstack([Ap, -(En @ hn)])
@@ -431,6 +436,9 @@ def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
     makes the truncated system uniquely solvable.  Non-monotone ``theta`` is
     flagged, never repaired: it signals an under-resolved M.
     """
+    from scipy.linalg import lu_factor, lu_solve
+    from scipy.linalg.lapack import dgecon
+
     system = assemble_system(curve, M, P)
     A = system.matrix()
     lu, piv = lu_factor(A)

@@ -191,6 +191,23 @@ class TestMap:
         assert main(["map", "--config", cfg, "--out", str(tmp_path / "o5")]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("slender", [None, {}])
+    @pytest.mark.parametrize("grid", [0, -5])
+    def test_sample_grid_not_positive_exit_2(self, tmp_path, capsys, slender, grid):
+        cfg = circle_config(tmp_path, slender=slender, sample_grid=grid)
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o6")]) == 2
+        assert "sample_grid must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slender", [None, {}])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sample_exit_2(self, tmp_path, capsys, slender, bad):
+        t = 2 * np.pi * np.arange(64) / 64
+        samples = [[np.cos(v), 0.25 * np.sin(v)] for v in t]
+        samples[5][0] = bad
+        cfg = circle_config(tmp_path, boundary={"samples": samples}, slender=slender)
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o7")]) == 2
+        assert "samples must be finite" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_single_suite(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cforge import (
     CFApproximant,
@@ -20,8 +22,9 @@ from cforge.errors import (
     InputError,
     PipelineError,
     SectorViolationError,
+    SelfIntersectionError,
 )
-from cforge.pipelines import area_centroid, winding_number
+from cforge.pipelines import _check_simple, area_centroid, winding_number
 from cforge.suites import planted_oracle_curve
 
 from contours import corner_contour, ellipse_curve
@@ -407,3 +410,90 @@ class TestExactFoldOracle:
             errs.append(np.max(np.abs(evaluate_composed(cm, zeta) - exact)))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-5
+
+
+def dense_check_simple(points, label, max_check=1024):
+    """All-pairs reference for ``_check_simple``: every segment pair is
+    tested at once and the first hit of ``argwhere`` is reported."""
+    n = len(points)
+    step = max(1, n // max_check)
+    a = points[::step]
+    m = len(a)
+    b = np.roll(a, -1)
+    d = b - a
+    denom = d.real[:, None] * d.imag[None, :] - d.imag[:, None] * d.real[None, :]
+    dq = a[None, :] - a[:, None]
+    t = dq.real * d.imag[None, :] - dq.imag * d.real[None, :]
+    s = dq.real * d.imag[:, None] - dq.imag * d.real[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = t / denom
+        s = s / denom
+    eps = 1e-12
+    hit = (t > eps) & (t < 1 - eps) & (s > eps) & (s < 1 - eps)
+    hit &= np.abs(denom) > 1e-300
+    gap = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    hit &= (gap > 1) & (gap < m - 1)
+    if np.any(hit):
+        i, j = np.argwhere(hit)[0]
+        raise SelfIntersectionError(
+            f"{label} self-intersects near samples {i * step} and {j * step}"
+        )
+
+
+def _verdict(check, points, max_check):
+    try:
+        check(points, "polyline", max_check)
+    except SelfIntersectionError as exc:
+        return str(exc)
+    return None
+
+
+# lattice points make collinear, touching and repeated vertices likely;
+# the float range gives generic crossings
+_coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
+_vertex = st.builds(complex, _coord, _coord)
+
+
+class TestSelfIntersection:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        vertices=st.lists(_vertex, min_size=3, max_size=40),
+        repeats=st.lists(st.integers(0, 39), max_size=6),
+        max_check=st.sampled_from([4, 7, 16, 1024]),
+    )
+    def test_matches_all_pairs(self, vertices, repeats, max_check):
+        pts = list(vertices)
+        for r in repeats:
+            pts.insert(r % len(pts), pts[r % len(pts)])
+        pts = np.array(pts, dtype=complex)
+        assert _verdict(_check_simple, pts, max_check) == _verdict(
+            dense_check_simple, pts, max_check
+        )
+
+    @pytest.mark.parametrize(
+        "pts,expect",
+        [
+            ([0, 1, 1 + 1j], None),  # m = 3: every pair is adjacent
+            ([0, 1, 1 + 1j, 1j], None),
+            ([0, 1 + 1j, 1, 1j], "samples 0 and 2"),  # bow tie, m = 4
+            ([0, 0, 1 + 1j, 1, 1j], "samples 1 and 3"),  # repeated vertex
+        ],
+    )
+    def test_small_polylines(self, pts, expect):
+        got = _verdict(_check_simple, np.array(pts, dtype=complex), 1024)
+        if expect is None:
+            assert got is None
+        else:
+            assert got.endswith(expect)
+
+    def test_figure_eight_rejected(self):
+        t = 2 * np.pi * (np.arange(4096) + 0.5) / 4096
+        pts = np.sin(t) + 1j * np.sin(2 * t)
+        with pytest.raises(SelfIntersectionError, match="near samples 2044 and 4092"):
+            _check_simple(pts, "figure eight")
+
+    def test_non_finite_points_rejected(self):
+        pts = np.exp(2j * np.pi * np.arange(16) / 16)
+        pts[3] = np.inf
+        with pytest.raises(InputError, match="non-finite"):
+            _check_simple(pts, "polyline")

@@ -201,6 +201,17 @@ class TestConjugate:
         assert np.allclose(a2, -a0) and np.allclose(b2, -b0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 64])
+def test_hankel_matches_scipy(n):
+    from scipy.linalg import hankel
+
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = reparam_solver._hankel(c)
+    assert got.dtype == complex
+    assert np.array_equal(got, hankel(c))
+
+
 class TestAssemble:
     def test_unit_circle_blocks(self, unit_circle):
         sys_ = assemble_system(unit_circle, 8, 64)
