@@ -21,6 +21,7 @@ from .reparam_solver import PolynomialMap
 
 __all__ = [
     "DeviationReport",
+    "boundary_distance",
     "boundary_deviation",
     "univalence_check",
     "render_polar_net",
@@ -99,21 +100,24 @@ def _nearest_distance(points, target, grid: int):
     return np.minimum(best, refined)
 
 
-def boundary_deviation(
-    cmap: ComposedMap, target, grid: int = 256
-) -> DeviationReport:
-    """Distance of the image boundary from the target curve.
-
-    Evaluates the composed map at ``grid`` points of the unit circle and
-    measures each image's distance to the target (a FourierCurve, or any
-    2 pi-periodic parametric callable).  Also runs the univalence winding
-    check on the core and copies the solver diagnostics carried by the map.
+def boundary_distance(cmap: ComposedMap, target, grid: int = 256) -> np.ndarray:
+    """Distance of the images of ``grid`` unit-circle points from the
+    target curve (a FourierCurve, or any 2 pi-periodic parametric callable).
     """
     if grid < 256:
         raise InputError("deviation grid must be at least 256")
     zeta = np.exp(2j * np.pi * np.arange(grid) / grid)
-    images = evaluate_composed(cmap, zeta)
-    dist = _nearest_distance(images, target, grid)
+    return _nearest_distance(evaluate_composed(cmap, zeta), target, grid)
+
+
+def boundary_deviation(
+    cmap: ComposedMap, target, grid: int = 256
+) -> DeviationReport:
+    """Distance of the image boundary from the target curve
+    (:func:`boundary_distance`), with the univalence winding check on the
+    core and the solver diagnostics carried by the map.
+    """
+    dist = boundary_distance(cmap, target, grid)
     winding = univalence_check(cmap.core, max(8 * cmap.core.degree, 256))
     solver = cmap.provenance.get("solver", {})
     corner = cmap.provenance.get("corner")

@@ -1,7 +1,10 @@
 """End-to-end disk-to-domain map construction.
 
-Three pipelines share the same backbone (normalize the boundary, solve the
-reparametrization problem, extract a polynomial core):
+Three pipelines share one backbone.  Each normalizes its domain in its own
+way, then :func:`_solve_core` translates the normalized boundary so the
+chosen anchor sits at the origin, solves the reparametrization problem and
+extracts the polynomial Taylor core, and :func:`_composed` stamps the
+result with its provenance:
 
 * :func:`smooth_map` handles smooth boundaries directly;
 * :func:`corner_map` straightens one declared corner of opening ``k pi/N``
@@ -19,7 +22,8 @@ reproduced bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from numbers import Number
 
 import numpy as np
 
@@ -27,7 +31,6 @@ from . import io
 from .errors import (
     DomainError,
     InputError,
-    NonMonotoneThetaError,
     PipelineError,
     RefitQualityError,
     SectorViolationError,
@@ -41,12 +44,7 @@ from .fourier_boundary import (
     horner,
     unwrap_closed,
 )
-from .reparam_solver import (
-    PolynomialMap,
-    solve_reparam,
-    taylor_coeffs,
-    taylor_from_correspondence,
-)
+from .reparam_solver import PolynomialMap, solve_reparam, taylor_coeffs
 from .root_cf import CFApproximant, root_cf
 
 __all__ = [
@@ -208,7 +206,7 @@ class PipelineConfig:
     n_iter: int = 8
     refit_degree: int = 24
     refit_tol: float = 1e-3
-    anchor: complex | str | None = None
+    anchor: complex | None = None
     sample_grid: int = 4096
 
     def __post_init__(self):
@@ -222,6 +220,10 @@ class PipelineConfig:
             object.__setattr__(self, "D", 4 * self.M)
         if self.sample_grid <= 0:
             raise InputError(f"sample_grid must be positive, got {self.sample_grid}")
+        if self.anchor is not None:
+            if isinstance(self.anchor, bool) or not isinstance(self.anchor, Number):
+                raise InputError(f"anchor must be a point or None, got {self.anchor!r}")
+            object.__setattr__(self, "anchor", complex(self.anchor))
         if self.samples is not None:
             samples = np.asarray(self.samples, dtype=complex).ravel()
             if not np.all(np.isfinite(samples)):
@@ -283,8 +285,10 @@ class PipelineConfig:
             else:
                 slender = {"a": None}
         anchor = payload.get("anchor")
-        if isinstance(anchor, (list, tuple)):
-            anchor = complex(anchor[0], anchor[1])
+        if anchor is not None:
+            if not (isinstance(anchor, list) and len(anchor) == 2):
+                raise InputError(f"anchor must be null or [re, im], got {anchor!r}")
+            anchor = complex(*anchor)
         kwargs = {}
         for key in ("M", "P", "D", "n_iter", "refit_degree", "sample_grid"):
             if payload.get(key) is not None:
@@ -312,16 +316,15 @@ class PipelineConfig:
             "sample_grid": self.sample_grid,
             "corner": self.corner,
             "slender": None,
+            "anchor": None,
         }
         if self.slender is not None:
             a = self.slender.get("a")
             out["slender"] = (
                 {"a_re": a.real, "a_im": a.imag} if a is not None else {}
             )
-        if isinstance(self.anchor, complex):
+        if self.anchor is not None:
             out["anchor"] = [self.anchor.real, self.anchor.imag]
-        else:
-            out["anchor"] = self.anchor
         if self.boundary is not None:
             out["boundary"] = {
                 "coeffs": io.coeffs_to_json(self.boundary.ks, self.boundary.cs)
@@ -448,14 +451,34 @@ def _translate(curve: FourierCurve, offset: complex) -> FourierCurve:
     return FourierCurve.from_coeffs(coeffs)
 
 
-def _solver_diag(sol, core: PolynomialMap) -> dict:
-    return {
-        "M": sol.M,
-        "P": sol.grid_size,
-        "condition": sol.condition,
-        "monotone": sol.monotone,
-        "neg_residual": core.neg_residual,
+def _solve_core(curve: FourierCurve, anchor: complex, cfg: PipelineConfig):
+    """``(sol, core)``: the reparametrization solve of ``curve`` with
+    ``anchor`` moved to the origin, and its Taylor core."""
+    centered = _translate(curve, -anchor)
+    sol = solve_reparam(centered, cfg.M, cfg.P)
+    return sol, taylor_coeffs(centered, sol, cfg.D)
+
+
+def _composed(
+    kind: str, cfg: PipelineConfig, construction, stages, sol, core, **extra
+) -> ComposedMap:
+    """The composed map with its provenance: the config snapshot, the
+    described ``construction`` transforms (domain to solved curve), the
+    solver diagnostics and the pipeline's own ``extra`` entries."""
+    provenance = {
+        "kind": kind,
+        "config": cfg.snapshot(),
+        "construction": [t.describe() for t in construction],
+        **extra,
+        "solver": {
+            "M": sol.M,
+            "P": sol.grid_size,
+            "condition": sol.condition,
+            "monotone": sol.monotone,
+            "neg_residual": core.neg_residual,
+        },
     }
+    return ComposedMap(stages=stages, core=core, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +502,10 @@ def smooth_map(cfg: PipelineConfig) -> ComposedMap:
         and winding_number(samples, 0.0) == 1
     )
     centroid = 0.0j if encloses else curve.coeff(0)
-    centered = _translate(curve, -centroid)
-    sol = solve_reparam(centered, cfg.M, cfg.P)
-    core = taylor_coeffs(centered, sol, cfg.D)
-    stages = []
-    if centroid != 0:
-        stages.append(PlaneTransform("affine", (1.0, centroid)))
-    provenance = {
-        "kind": "smooth",
-        "config": cfg.snapshot(),
-        "construction": [
-            PlaneTransform("affine", (1.0, -centroid)).describe()
-        ],
-        "solver": _solver_diag(sol, core),
-    }
-    return ComposedMap(stages=tuple(stages), core=core, provenance=provenance)
+    sol, core = _solve_core(curve, centroid, cfg)
+    stages = [PlaneTransform("affine", (1.0, centroid))] if centroid != 0 else []
+    construction = [PlaneTransform("affine", (1.0, -centroid))]
+    return _composed("smooth", cfg, construction, stages, sol, core)
 
 
 def corner_map(cfg: PipelineConfig) -> ComposedMap:
@@ -542,37 +554,31 @@ def corner_map(cfg: PipelineConfig) -> ComposedMap:
         straightened, cfg.refit_degree, cfg.refit_tol, "straightened boundary"
     )
     _, anchor = area_centroid(straightened)
-    centered = _translate(straight_curve, -anchor)
-    sol = solve_reparam(centered, cfg.M, cfg.P)
-    core = taylor_coeffs(centered, sol, cfg.D)
-    theta_corner = float(sol.theta(t0))
+    sol, core = _solve_core(straight_curve, anchor, cfg)
 
     stages = (
         PlaneTransform("affine", (1.0, anchor)),
         PlaneTransform("cf_root", (k, N, cfg.n_iter)),
         PlaneTransform("affine", (np.exp(-1j * rho), z0)),
     )
-    provenance = {
-        "kind": "corner",
-        "config": cfg.snapshot(),
-        "construction": [
-            PlaneTransform("affine", (1.0, -z0)).describe(),
-            PlaneTransform("affine", (np.exp(1j * rho), 0.0)).describe(),
-            PlaneTransform("power", (N, k)).describe(),
-            PlaneTransform("affine", (1.0, -anchor)).describe(),
-        ],
-        "corner": {
-            "t0": t0,
-            "k": k,
-            "N": N,
-            "position": [z0.real, z0.imag],
-            "rotation": rho,
-            "theta_corner": theta_corner,
-        },
-        "refit_deviation": refit_resid,
-        "solver": _solver_diag(sol, core),
+    construction = (
+        PlaneTransform("affine", (1.0, -z0)),
+        PlaneTransform("affine", (np.exp(1j * rho), 0.0)),
+        PlaneTransform("power", (N, k)),
+        PlaneTransform("affine", (1.0, -anchor)),
+    )
+    corner = {
+        "t0": t0,
+        "k": k,
+        "N": N,
+        "position": [z0.real, z0.imag],
+        "rotation": rho,
+        "theta_corner": float(sol.theta(t0)),
     }
-    return ComposedMap(stages=stages, core=core, provenance=provenance)
+    return _composed(
+        "corner", cfg, construction, stages, sol, core,
+        corner=corner, refit_deviation=refit_resid,
+    )
 
 
 def _default_a(curve: FourierCurve, samples: np.ndarray) -> complex:
@@ -607,8 +613,8 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     disk automorphism, one solve supports them all: the pipeline re-anchors
     the correspondence along the segment from the image of the original
     centroid towards the squared domain's area centroid and keeps the
-    candidate whose composed map has the smallest measured boundary
-    deviation.  Set ``cfg.anchor`` to a complex value to pin it instead.
+    candidate whose boundary image lies closest to the target curve (sup
+    distance).  Set ``cfg.anchor`` to a complex value to pin it instead.
     """
     if cfg.slender is None:
         raise InputError("slender_map needs a slender declaration")
@@ -641,90 +647,67 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
 
     base_anchor = ((curve.coeff(0) - a) / direction) ** 2
     _, u_centroid = area_centroid(squared)
+    sol, base_core = _solve_core(squared_curve, base_anchor, cfg)
 
-    centered = _translate(squared_curve, -base_anchor)
-    sol = solve_reparam(centered, cfg.M, cfg.P)
-    if not sol.monotone:
-        raise NonMonotoneThetaError(
-            "theta not monotone on the squared boundary; increase M/P"
-        )
-    # every candidate re-anchors through the same base core
-    base_core = taylor_from_correspondence(centered, sol.theta_grid, cfg.D)
-
-    def build(anchor: complex) -> ComposedMap:
-        if anchor == base_anchor:
-            core = base_core
-        else:
-            theta = _reanchor(sol.theta_grid, base_core, base_anchor, anchor)
-            cen = _translate(squared_curve, -anchor)
-            core = taylor_from_correspondence(cen, theta, cfg.D)
-        core = PolynomialMap(
-            coeffs=core.coeffs,
-            neg_residual=core.neg_residual,
-            solver_M=sol.M,
-            solver_P=sol.grid_size,
-        )
-        stages = (
+    def stages(anchor: complex) -> tuple:
+        return (
             PlaneTransform("affine", (1.0, anchor)),
             PlaneTransform("cf_root", (1, 2, cfg.n_iter)),
             PlaneTransform("affine", (direction, a)),
         )
-        return ComposedMap(stages=stages, core=core, provenance={})
+
+    def core_at(anchor: complex) -> PolynomialMap:
+        # every candidate re-anchors the one solve through the base core
+        if anchor == base_anchor:
+            return base_core
+        theta = _reanchor(sol.theta_grid, base_core, base_anchor, anchor)
+        moved = replace(sol, theta_grid=theta)
+        return taylor_coeffs(_translate(squared_curve, -anchor), moved, cfg.D)
 
     search_log = []
-    if isinstance(cfg.anchor, complex):
-        chosen_anchor = cfg.anchor
-        chosen = build(chosen_anchor)
+    if cfg.anchor is not None:
+        chosen_anchor, chosen = cfg.anchor, core_at(cfg.anchor)
     else:
-        from .geometry_checks import boundary_deviation
+        from .geometry_checks import boundary_distance
 
-        target = curve
         best = None
         for frac in ANCHOR_FRACTIONS:
             anchor = base_anchor + frac * (u_centroid - base_anchor)
-            candidate = build(anchor)
+            core = core_at(anchor)
+            entry = {"frac": frac, "anchor": [anchor.real, anchor.imag]}
+            search_log.append(entry)
             try:
-                rep = boundary_deviation(candidate, target, grid=ANCHOR_SEARCH_GRID)
-                score = rep.sup_deviation
+                dist = boundary_distance(
+                    ComposedMap(stages(anchor), core), curve, ANCHOR_SEARCH_GRID
+                )
             except DomainError as exc:
                 # candidate's boundary image grazes the root-approximant cut
-                score = float("inf")
-                search_log.append(
-                    {"frac": frac, "anchor": [anchor.real, anchor.imag],
-                     "rejected": str(exc)}
-                )
+                entry["rejected"] = str(exc)
                 continue
-            search_log.append(
-                {"frac": frac, "anchor": [anchor.real, anchor.imag],
-                 "sup_deviation": score}
-            )
+            score = float(np.max(dist))
+            entry["sup_deviation"] = score
             if best is None or score < best[0] * (1.0 - ANCHOR_TIE_RTOL):
-                best = (score, anchor, candidate)
+                best = (score, anchor, core)
         if best is None:
             raise PipelineError(
                 "no anchor candidate produced an evaluable composed map"
             )
         _, chosen_anchor, chosen = best
 
-    provenance = {
-        "kind": "slender",
-        "config": cfg.snapshot(),
-        "construction": [
-            PlaneTransform("affine", (1.0 / direction, -a / direction)).describe(),
-            PlaneTransform("power", (2, 1)).describe(),
-            PlaneTransform("affine", (1.0, -chosen_anchor)).describe(),
-        ],
-        "slender": {
-            "a": [a.real, a.imag],
-            "direction": [direction.real, direction.imag],
-            "anchor": [chosen_anchor.real, chosen_anchor.imag],
-            "anchor_search": search_log,
-        },
-        "refit_deviation": refit_resid,
-        "solver": _solver_diag(sol, chosen.core),
+    construction = (
+        PlaneTransform("affine", (1.0 / direction, -a / direction)),
+        PlaneTransform("power", (2, 1)),
+        PlaneTransform("affine", (1.0, -chosen_anchor)),
+    )
+    slender = {
+        "a": [a.real, a.imag],
+        "direction": [direction.real, direction.imag],
+        "anchor": [chosen_anchor.real, chosen_anchor.imag],
+        "anchor_search": search_log,
     }
-    return ComposedMap(
-        stages=chosen.stages, core=chosen.core, provenance=provenance
+    return _composed(
+        "slender", cfg, construction, stages(chosen_anchor), sol, chosen,
+        slender=slender, refit_deviation=refit_resid,
     )
 
 

@@ -208,6 +208,13 @@ class TestMap:
         assert main(["map", "--config", cfg, "--out", str(tmp_path / "o7")]) == 2
         assert "samples must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("anchor", [4.0, "pinned", True])
+    def test_malformed_anchor_exit_2(self, tmp_path, capsys, anchor):
+        cfg = circle_config(tmp_path, slender={"a_re": -2.0}, anchor=anchor)
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o8")]) == 2
+        assert "anchor must be null or [re, im]" in capsys.readouterr().err
+        assert not (tmp_path / "o8" / "manifest.json").exists()
+
 
 class TestVerify:
     def test_single_suite(self, tmp_path, capsys):

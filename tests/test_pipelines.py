@@ -230,16 +230,17 @@ class TestSlender:
 
 
     def test_anchor_search_extracts_base_core_once(self, monkeypatch):
-        from cforge import pipelines
+        from cforge import pipelines, reparam_solver
 
         calls = []
-        extract = pipelines.taylor_from_correspondence
+        extract = reparam_solver.taylor_from_correspondence
 
         def counted(*args, **kwargs):
             calls.append(1)
             return extract(*args, **kwargs)
 
-        monkeypatch.setattr(pipelines, "taylor_from_correspondence", counted)
+        # every core is made by taylor_coeffs, which resolves this name
+        monkeypatch.setattr(reparam_solver, "taylor_from_correspondence", counted)
         cfg = PipelineConfig(
             boundary=ellipse_curve(), slender={"a": None}, M=32, P=256, D=128,
             n_iter=20,
@@ -261,6 +262,84 @@ class TestSlender:
         # a reachable target converges and re-anchors
         again = _reanchor(theta, core, 0.0, -0.5)
         assert np.all(np.diff(again) > 0)
+
+
+# small ellipse-like curves z = a e^{it} + b e^{-it} + c e^{2it}, Jordan
+# because |b| + 2|c| < |a|
+_unit = st.floats(-1.0, 1.0)
+_small = st.builds(complex, _unit, _unit)
+_shapes = st.tuples(
+    st.floats(0.5, 2.0), _small.map(lambda v: 0.2 * v), _small.map(lambda v: 0.05 * v)
+)
+
+
+def _shape_curve(shape, offset=0j, phase=0.0):
+    a, b, c = shape
+    rot = np.exp(1j * phase)
+    cs = (offset, rot * a, rot * b, rot * c)
+    return FourierCurve((0, 1, -1, 2), cs)
+
+
+def _backbone_config(curve):
+    return PipelineConfig(boundary=curve, M=16, P=128, D=32)
+
+
+BACKBONE = settings(max_examples=12, deadline=None, derandomize=True)
+BACKBONE_CASES = {
+    "smooth": (
+        smooth_map, lambda: _backbone_config(_shape_curve((1.0, 0.2, 0.05j), 3.0))
+    ),
+    "corner": (corner_map, lambda: fold_config(1, 2, 8, D=24, M=48, refit=24)),
+    "slender": (slender_map, lambda: PipelineConfig(
+        boundary=ellipse_curve(), slender={"a": None}, M=32, P=256, D=64, n_iter=20,
+    )),
+}
+
+
+class TestBackbone:
+    @BACKBONE
+    @given(
+        shape=_shapes,
+        offset=st.builds(complex, st.floats(4.0, 8.0), st.floats(-8.0, 8.0)),
+        shift=st.builds(complex, st.floats(0.0, 8.0), st.floats(-8.0, 8.0)),
+    )
+    def test_translation_moves_into_affine_stage(self, shape, offset, shift):
+        # both curves leave the origin outside, so each is solved about its mean
+        a = smooth_map(_backbone_config(_shape_curve(shape, offset)))
+        b = smooth_map(_backbone_config(_shape_curve(shape, offset + shift)))
+        assert np.array_equal(a.core.coeffs, b.core.coeffs)
+        assert [t.kind for t in b.stages] == ["affine"]
+        assert b.stages[0].params == (1.0, offset + shift)
+
+    @BACKBONE
+    @given(shape=_shapes, phi=st.floats(-np.pi, np.pi))
+    def test_rotation_turns_the_coefficients(self, shape, phi):
+        base = smooth_map(_backbone_config(_shape_curve(shape))).core.coeffs
+        turned = smooth_map(_backbone_config(_shape_curve(shape, phase=phi))).core
+        k = np.arange(len(base))
+        # Z(zeta) -> e^{i phi} Z(e^{-i phi} zeta) keeps c_1 real positive
+        expect = base * np.exp(1j * phi * (1 - k))
+        assert np.max(np.abs(turned.coeffs - expect)) <= 1e-14 * np.max(np.abs(base))
+
+    @pytest.mark.parametrize("kind", sorted(BACKBONE_CASES))
+    def test_provenance_records_the_backbone(self, kind):
+        build, make_config = BACKBONE_CASES[kind]
+        cfg = make_config()
+        cm = build(cfg)
+        prov = cm.provenance
+        assert prov["kind"] == kind
+        assert prov["config"] == cfg.snapshot()
+        assert prov["construction"]
+        for desc in prov["construction"]:
+            assert PlaneTransform.from_dict(desc).describe() == desc
+        assert prov["solver"] == {
+            "M": cfg.M,
+            "P": cfg.P,
+            "condition": prov["solver"]["condition"],
+            "monotone": True,
+            "neg_residual": cm.core.neg_residual,
+        }
+        assert (cm.core.solver_M, cm.core.solver_P) == (cfg.M, cfg.P)
 
 
 class TestEvaluate:
@@ -310,6 +389,14 @@ class TestConfigJson:
     def test_defaults(self, unit_circle):
         cfg = PipelineConfig(boundary=unit_circle)
         assert cfg.M == 64 and cfg.P == 512 and cfg.D == 256 and cfg.n_iter == 8
+
+    @pytest.mark.parametrize("anchor", ["pinned", True, [4.0, 0.0]])
+    def test_anchor_must_be_a_point(self, unit_circle, anchor):
+        with pytest.raises(InputError, match="anchor must be a point"):
+            PipelineConfig(boundary=unit_circle, slender={"a": -2.0}, anchor=anchor)
+        # a real number is a point on the real axis
+        cfg = PipelineConfig(boundary=unit_circle, slender={"a": -2.0}, anchor=4)
+        assert cfg.anchor == 4.0 + 0.0j and isinstance(cfg.anchor, complex)
 
     def test_slender_json_default_a(self, tmp_path):
         payload = {
