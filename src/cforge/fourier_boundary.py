@@ -117,12 +117,20 @@ class CornerGapQuery:
 
 
 def eval_curve(curve: FourierCurve, t):
-    """Evaluate ``z(t) = sum c_k e^{ikt}``; ``t`` may be a scalar or array."""
+    """Evaluate ``z(t) = sum c_k e^{ikt}``; ``t`` may be a scalar or array.
+
+    The coefficients are laid out densely over ``[min k, max k]`` and
+    summed by :func:`horner` in ``w = e^{it}``, then shifted by
+    ``e^{i min(k) t}``: at most two ``exp`` per point, whatever the support.
+    """
     t_arr = np.asarray(t, dtype=float)
-    out = np.zeros(t_arr.shape, dtype=complex)
-    for k, c in zip(curve.ks, curve.cs):
-        out += c * np.exp(1j * k * t_arr)
-    if np.isscalar(t) or t_arr.ndim == 0:
+    kmin = curve.ks[0]
+    dense = np.zeros(curve.ks[-1] - kmin + 1, dtype=complex)
+    dense[np.subtract(curve.ks, kmin)] = curve.cs
+    out = horner(dense, np.exp(1j * t_arr))
+    if kmin:
+        out = out * np.exp(1j * kmin * t_arr)
+    if t_arr.ndim == 0:
         return complex(out)
     return out
 
@@ -165,16 +173,44 @@ def fit_from_samples(points, m: int, n: int) -> FourierCurve:
 
 
 def horner(coeffs, z):
-    """``sum_k coeffs[k] z^k`` by Horner's rule; ``z`` scalar or array.
+    """``sum_k coeffs[k] z^k`` for scalar or array ``z``, in about
+    ``2 sqrt(n)`` array operations for ``n`` coefficients.
 
-    ``z`` is used as given: a Python scalar runs numpy's scalar arithmetic
-    and an array (0-d included) the array loops, which round differently,
-    so callers that need array rounding pass an array.
+    The split of Paterson and Stockmeyer (SIAM J. Comput. 2, 1973): with
+    ``B = ceil(sqrt(n))`` and ``A = ceil(n / B)``, the powers ``z^b`` for
+    ``b < B`` form the rows of a table ``W`` (``B - 1`` products), one
+    matrix product ``S = C W`` with ``C[a, b] = coeffs[a B + b]`` (zero past
+    ``n``) gives the ``A`` inner polynomials, and Horner in ``z^B`` sums
+    them.  Every coefficient is perturbed by a relative backward error of
+    ``O((A + B) u)`` (``u`` the unit roundoff), against ``O(n u)`` for
+    plain Horner, so ``|error| = O((A + B) u sum_k |c_k| |z|^k)``.
+
+    The result is complex and shaped like ``z``: a numpy scalar for a
+    Python scalar or a 0-d array, an array of ``z``'s shape otherwise,
+    zeros when ``coeffs`` is empty.
     """
-    out = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in coeffs[::-1]:
-        out = out * z + c
-    return out
+    c = np.asarray(coeffs, dtype=complex).ravel()
+    z = np.asarray(z, dtype=complex)
+    n = len(c)
+    if n == 0:
+        return np.zeros_like(z)[()]
+    B = math.isqrt(n - 1) + 1
+    A = -(-n // B)
+    x = z.reshape(-1)
+    W = np.empty((B, len(x)), dtype=complex)
+    W[0] = 1.0
+    for b in range(1, B):
+        np.multiply(W[b - 1], x, out=W[b])
+    C = np.zeros(A * B, dtype=complex)
+    C[:n] = c
+    S = C.reshape(A, B) @ W
+    zB = W[B - 1] * x
+    del W  # the sweep below needs only S and z^B: keep the peak low
+    out = S[A - 1].copy()
+    for a in range(A - 2, -1, -1):
+        out *= zB
+        out += S[a]
+    return out.reshape(z.shape)[()]
 
 
 def unwrap_closed(values):

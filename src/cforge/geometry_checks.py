@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .fourier_boundary import FourierCurve, derivative_curve, eval_curve
-from .fourier_boundary import horner, unwrap_closed
+from .fourier_boundary import unwrap_closed
 from .pipelines import ComposedMap, evaluate_composed
 from .reparam_solver import PolynomialMap
 
@@ -140,13 +140,14 @@ def univalence_check(core: PolynomialMap, grid: int) -> int:
     """Winding of ``Z'(e^{i theta})`` about 0 = number of zeros of ``Z'``
     in the disk.  Zero means the core is locally injective.
 
-    Fails when ``|Z'|`` drops below 1e-12 at a node (zero on the circle is
-    inconclusive).
+    The nodes are the ``grid``-th roots of unity, so ``Z'`` there is one
+    zero-padded inverse FFT of its coefficients: ``grid >= 8 * degree``
+    leaves no aliasing.  Fails when ``|Z'|`` drops below 1e-12 at a node
+    (zero on the circle is inconclusive).
     """
     if grid < 8 * core.degree:
         raise InputError("univalence grid must be at least 8 * degree")
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-    vals = horner(core.derivative_coeffs(), np.exp(1j * theta))
+    vals = grid * np.fft.ifft(core.derivative_coeffs(), grid)
     if np.min(np.abs(vals)) < 1e-12:
         raise InputError(
             "derivative vanishes on the unit circle; winding inconclusive"

@@ -282,6 +282,8 @@ class PipelineConfig:
         if slender is not None:
             if "a_re" in slender:
                 slender = {"a": complex(slender["a_re"], slender.get("a_im", 0.0))}
+            elif "a_im" in slender:
+                raise InputError("slender a_im needs a_re (a_re alone means a_im = 0)")
             else:
                 slender = {"a": None}
         anchor = payload.get("anchor")

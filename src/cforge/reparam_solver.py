@@ -167,7 +167,7 @@ class PolynomialMap:
 
     def __call__(self, zeta):
         """Horner evaluation at ``zeta`` (scalar or array)."""
-        out = horner(self.coeffs, np.asarray(zeta, dtype=complex))
+        out = horner(self.coeffs, zeta)
         return complex(out) if out.ndim == 0 else out
 
     def derivative_coeffs(self) -> np.ndarray:
@@ -190,30 +190,26 @@ def periodic_interpolator(values: np.ndarray):
 
     Returns ``(ev, ev_prime)`` evaluating the trigonometric interpolant and
     its derivative at arbitrary parameters (scalar or array).  The spectrum
-    is computed once; evaluation runs Horner in ``e^{it}``.
+    is computed once; evaluation runs :func:`horner` in ``e^{it}``.
     """
     values = np.asarray(values, dtype=float)
     P = len(values)
     vh = np.fft.fft(values) / P
     half = P // 2
     mean = vh[0].real
-    # modes 1..(P-1)//2 pair with their negatives; for even P the Nyquist
-    # mode P/2 is real and kept apart
-    coef = 2.0 * vh[1 : (P + 1) // 2]
+    # coef[p] multiplies e^{ipt} for p = 1..(P-1)//2 (each mode paired with
+    # its negative); coef[0] is zero so that the mean stays exact.  For even
+    # P the Nyquist mode P/2 is real and kept apart
+    coef = 2.0 * vh[: (P + 1) // 2]
+    coef[0] = 0.0
+    dcoef = 1j * np.arange(len(coef)) * coef
     nyquist = vh[half].real if P % 2 == 0 and half >= 1 else 0.0
-
-    def series(t, c):
-        """``sum_{p>=1} c[p-1] e^{ipt}``."""
-        w = np.exp(1j * t)
-        # this operand order keeps the bits of the fused (s + c) * w loop:
-        # complex products are not commutative under FMA
-        return horner(c, w) * w
 
     def ev(t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = mean + series(t, coef).real
+        out = mean + horner(coef, np.exp(1j * t)).real
         if P % 2 == 0:
             out += nyquist * np.cos(half * t)
         return float(out[0]) if scalar else out
@@ -222,8 +218,7 @@ def periodic_interpolator(values: np.ndarray):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        p = np.arange(1, len(coef) + 1)
-        out = series(t, 1j * p * coef).real
+        out = horner(dcoef, np.exp(1j * t)).real
         if P % 2 == 0:
             out += -half * nyquist * np.sin(half * t)
         return float(out[0]) if scalar else out

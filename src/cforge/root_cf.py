@@ -82,7 +82,6 @@ class RationalMap:
         object.__setattr__(self, "den", tuple(den))
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
         out = horner(self.num, z) / horner(self.den, z)
         return complex(out) if out.ndim == 0 else out
 

@@ -216,6 +216,13 @@ class TestMap:
         assert not (tmp_path / "o8" / "manifest.json").exists()
 
 
+    def test_slender_a_im_without_a_re_exit_2(self, tmp_path, capsys):
+        cfg = circle_config(tmp_path, slender={"a_im": 1.5})
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o9")]) == 2
+        assert "a_im needs a_re" in capsys.readouterr().err
+        assert not (tmp_path / "o9" / "manifest.json").exists()
+
+
 class TestVerify:
     def test_single_suite(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cforge import (
@@ -17,6 +20,7 @@ from cforge import (
     unwrap_arg,
 )
 from cforge.errors import FitError, InputError, WindingError
+from cforge.fourier_boundary import horner
 
 from contours import three_semicircle_contour
 
@@ -46,6 +50,87 @@ class TestEvalCurve:
         vals = eval_curve(quadratic_curve, t)
         assert vals.shape == (7,)
         assert vals[0] == pytest.approx(eval_curve(quadratic_curve, 0.0))
+
+
+KERNEL = settings(max_examples=25, deadline=None, derandomize=True)
+U = np.finfo(float).eps / 2
+
+
+def _horner_reference(coeffs, z):
+    """``sum c_k z^k`` in 40-digit arithmetic, rounded to complex."""
+    with mpmath.workdps(40):
+        poly = [mpmath.mpc(c) for c in coeffs[::-1]]
+        return np.array([complex(mpmath.polyval(poly, mpmath.mpc(v))) for v in z])
+
+
+def _per_term_sum(curve, t):
+    """``sum c_k e^{ikt}`` term by term, one ``exp`` per coefficient."""
+    t = np.asarray(t, dtype=float)
+    return sum(c * np.exp(1j * k * t) for k, c in zip(curve.ks, curve.cs))
+
+
+class TestHorner:
+    @KERNEL
+    @given(
+        n=st.sampled_from([0, 1, 2, 3, 7, 10, 17, 1200]),
+        region=st.sampled_from(["inside", "circle", "outside"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_extended_precision(self, n, region, seed):
+        # |error| <= 4 n u sum_k |c_k| |z|^k, from the kernel's
+        # O((A + B) u) backward error; 1200 is the slender interpolant size
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        radius = {"inside": rng.uniform(0.0, 0.99, 6), "circle": np.ones(6),
+                  "outside": rng.uniform(1.01, 1.5, 6)}[region]
+        z = radius * np.exp(2j * np.pi * rng.uniform(size=6))
+        got = horner(coeffs, z)
+        assert got.shape == z.shape and got.dtype == complex
+        scale = np.abs(z)[:, None] ** np.arange(n) @ np.abs(coeffs)
+        err = np.abs(got - _horner_reference(coeffs, z))
+        assert np.all(err <= 4 * max(n, 1) * U * scale)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10])
+    def test_shapes(self, n):
+        coeffs = np.arange(1, n + 1) * (1 - 0.5j)
+        z = 0.5 + 0.25j
+        expect = _horner_reference(coeffs, [z])[0]
+        for arg in (z, np.asarray(z)):
+            out = horner(coeffs, arg)
+            assert np.shape(out) == () and complex(out) == pytest.approx(expect)
+        grid = np.full((3, 4), z)
+        out = horner(list(coeffs), grid)
+        assert out.shape == (3, 4) and out == pytest.approx(np.full((3, 4), expect))
+        assert horner(coeffs, np.empty((0, 2))).shape == (0, 2)
+
+    def test_empty_is_zero(self):
+        assert complex(horner((), 2.0)) == 0.0
+        assert np.array_equal(horner([], np.ones((2, 3))), np.zeros((2, 3)))
+
+
+class TestEvalCurveKernel:
+    @KERNEL
+    @given(
+        support=st.sampled_from(["dense", "sparse", "negative"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_term_sum(self, support, seed):
+        # both sums commit errors of about (span + max|k|) u sum|c_k| on
+        # [0, 2 pi): the kernel in w^j and e^{i kmin t}, the reference in k t
+        rng = np.random.default_rng(seed)
+        ks = {"dense": np.arange(-40, 61),
+              "sparse": np.unique(rng.integers(-300, 300, 12)),
+              "negative": np.arange(-25, -2, 3)}[support]
+        cs = (rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))) / (
+            1.0 + np.abs(ks)
+        )
+        curve = FourierCurve(tuple(ks), tuple(cs))
+        t = 2 * np.pi * rng.uniform(size=64)
+        bound = 16 * (ks[-1] - ks[0] + 1 + np.max(np.abs(ks))) * U * np.sum(np.abs(cs))
+        assert np.max(np.abs(eval_curve(curve, t) - _per_term_sum(curve, t))) <= bound
+        scalar = eval_curve(curve, float(t[0]))
+        assert isinstance(scalar, complex)
+        assert abs(scalar - _per_term_sum(curve, t[0])) <= bound
 
 
 class TestDerivative:

@@ -14,7 +14,8 @@ from cforge import (
     univalence_check,
 )
 from cforge.errors import InputError
-from cforge.fourier_boundary import derivative_curve, eval_curve
+from cforge import geometry_checks
+from cforge.fourier_boundary import derivative_curve, eval_curve, horner, unwrap_closed
 from cforge.geometry_checks import _nearest_distance
 from cforge.pipelines import ComposedMap
 from cforge.reparam_solver import PolynomialMap
@@ -148,6 +149,27 @@ class TestUnivalence:
         core = PolynomialMap(coeffs=[0.0, 1.0, 0.0, 0.0, 0.5], neg_residual=0.0)
         with pytest.raises(InputError):
             univalence_check(core, 16)
+
+    @pytest.mark.parametrize("degree, grid", [(1, 256), (37, 300), (1000, 8000)])
+    def test_fft_nodes_match_kernel(self, monkeypatch, rng, degree, grid):
+        # Z' at the grid-th roots of unity by one inverse FFT equals the
+        # Horner kernel there: grid >= 8 degree leaves no aliasing
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        # Z'(0) outweighs the rest on the circle: no zero of Z' in the disk
+        coeffs[1] = 2.0 * np.sum(np.arange(2, degree + 1) * np.abs(coeffs[2:])) + 1.0
+        core = PolynomialMap(coeffs=coeffs, neg_residual=0.0)
+        seen = []
+
+        def record(values):
+            seen.append(values)
+            return unwrap_closed(values)
+
+        monkeypatch.setattr(geometry_checks, "unwrap_closed", record)
+        assert univalence_check(core, grid) == 0
+        d = core.derivative_coeffs()
+        nodes = np.exp(2j * np.pi * np.arange(grid) / grid)
+        err = np.max(np.abs(seen[0] - horner(d, nodes)))
+        assert err <= 1e-13 * np.sum(np.abs(d))
 
 
 class TestRenderer:

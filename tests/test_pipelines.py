@@ -412,6 +412,15 @@ class TestConfigJson:
         cfg = PipelineConfig.from_json(json.dumps(payload))
         assert cfg.slender == {"a": None}
 
+    def test_slender_json_partial_point(self):
+        payload = {"boundary": {"coeffs": [{"k": 1, "re": 1.0, "im": 0.0}]}}
+        with pytest.raises(InputError, match="a_im needs a_re"):
+            PipelineConfig.from_json(json.dumps({**payload, "slender": {"a_im": 1.5}}))
+        # a_re alone is a point on the real axis
+        cfg = PipelineConfig.from_json(json.dumps({**payload, "slender": {"a_re": -2.0}}))
+        assert cfg.slender == {"a": -2.0 + 0.0j}
+        assert cfg.snapshot()["slender"] == {"a_re": -2.0, "a_im": 0.0}
+
 
 class TestGuardPaths:
     def test_refit_quality_error(self):
