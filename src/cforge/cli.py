@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     WindingError,
 )
 from .fourier_boundary import fit_from_samples, save_curve
-from .geometry_checks import boundary_deviation, render_polar_net
+from .geometry_checks import DeviationReport, boundary_deviation, render_polar_net
 from .pipelines import (
     ComposedMap,
     PipelineConfig,
@@ -110,14 +111,7 @@ def cmd_map(args) -> int:
     report = boundary_deviation(cmap, target, grid=max(args.grid, 256))
     t_check = time.perf_counter() - t0
 
-    deviation = {
-        "sup_deviation": report.sup_deviation,
-        "mean_deviation": report.mean_deviation,
-        "neg_residual": report.neg_residual,
-        "univalence_winding": report.univalence_winding,
-        "monotone_theta": report.monotone_theta,
-        "corner_angle_measured": report.corner_angle_measured,
-    }
+    deviation = asdict(report)
     deviation_path = os.path.join(args.out, "deviation.json")
     io.write_json(deviation_path, deviation)
 
@@ -215,15 +209,7 @@ def cmd_report(args) -> int:
         f"M={cfgs.get('M')} P={cfgs.get('P')} D={cfgs.get('D')} "
         f"n_iter={cfgs.get('n_iter')}"
     )
-    for key in (
-        "sup_deviation",
-        "mean_deviation",
-        "neg_residual",
-        "univalence_winding",
-        "monotone_theta",
-        "corner_angle_measured",
-        "solver_condition",
-    ):
+    for key in [f.name for f in fields(DeviationReport)] + ["solver_condition"]:
         print(f"{key:16}: {diag.get(key)}")
     for name, path in manifest.get("outputs", {}).items():
         print(f"output {name:9}: {path}")

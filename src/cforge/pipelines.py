@@ -116,7 +116,7 @@ class PlaneTransform:
                 CFApproximant(*params)
         object.__setattr__(self, "params", params)
 
-    def __call__(self, z, cf_domain: str = "slit"):
+    def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         if self.kind == "affine":
             a, b = self.params
@@ -128,7 +128,7 @@ class PlaneTransform:
             out[nz] = np.exp((N / k) * np.log(z[nz]))
         else:
             k, N, n_iter = self.params
-            out = root_cf(z, CFApproximant(k, N, n_iter), domain=cf_domain)
+            out = root_cf(z, CFApproximant(k, N, n_iter), domain="slit")
             out = np.asarray(out, dtype=complex)
         return complex(out) if out.ndim == 0 else out
 
@@ -185,15 +185,24 @@ def evaluate_composed(cmap: ComposedMap, zeta):
     return out
 
 
+def _point(value, what: str) -> complex:
+    """``value`` as a complex point; booleans and non-numbers are bad input."""
+    if isinstance(value, bool) or not isinstance(value, Number):
+        raise InputError(f"{what} must be a point or None, got {value!r}")
+    return complex(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Inputs of one pipeline run.
 
-    Exactly one of ``corner`` / ``slender`` may be set (both empty means the
-    smooth pipeline).  ``boundary`` is a FourierCurve; ``samples`` may be
-    given instead (uniform parameters, used directly by the corner pipeline
-    and fitted at ``refit_degree`` elsewhere).  Resolution defaults follow
-    the command-line tool: M=64, P=8M, D=4M, n_iter=8.
+    Exactly one of ``corner`` (``{"t0", "k", "N"}``) / ``slender``
+    (``{"a": point or None}``) may be set (both empty means the smooth
+    pipeline); malformed blocks raise :class:`InputError`.  ``boundary`` is
+    a FourierCurve; ``samples`` may be given instead (uniform parameters,
+    used directly by the corner pipeline and fitted at ``refit_degree``
+    elsewhere).  Resolution defaults follow the command-line tool: M=64,
+    P=8M, D=4M, n_iter=8.
     """
 
     boundary: FourierCurve | None = None
@@ -221,9 +230,24 @@ class PipelineConfig:
         if self.sample_grid <= 0:
             raise InputError(f"sample_grid must be positive, got {self.sample_grid}")
         if self.anchor is not None:
-            if isinstance(self.anchor, bool) or not isinstance(self.anchor, Number):
-                raise InputError(f"anchor must be a point or None, got {self.anchor!r}")
-            object.__setattr__(self, "anchor", complex(self.anchor))
+            object.__setattr__(self, "anchor", _point(self.anchor, "anchor"))
+        if self.corner is not None:
+            try:
+                t0, k, N = (self.corner[key] for key in ("t0", "k", "N"))
+                corner = {"t0": float(t0), "k": int(k), "N": int(N)}
+            except KeyError as exc:
+                raise InputError(f"corner is missing the key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"malformed corner {self.corner!r}: {exc}") from exc
+            object.__setattr__(self, "corner", corner)
+        if self.slender is not None:
+            if not isinstance(self.slender, dict) or set(self.slender) - {"a"}:
+                raise InputError(
+                    f"slender must be {{'a': point or None}}, got {self.slender!r}"
+                )
+            a = self.slender.get("a")
+            a = None if a is None else _point(a, "slender a")
+            object.__setattr__(self, "slender", {"a": a})
         if self.samples is not None:
             samples = np.asarray(self.samples, dtype=complex).ravel()
             if not np.all(np.isfinite(samples)):
@@ -271,13 +295,6 @@ class PipelineConfig:
             )
         else:
             raise InputError("config boundary must give coeffs, samples or a file")
-        corner = payload.get("corner")
-        if corner is not None:
-            corner = {
-                "t0": float(corner["t0"]),
-                "k": int(corner["k"]),
-                "N": int(corner["N"]),
-            }
         slender = payload.get("slender")
         if slender is not None:
             if "a_re" in slender:
@@ -300,7 +317,7 @@ class PipelineConfig:
         return PipelineConfig(
             boundary=curve,
             samples=samples,
-            corner=corner,
+            corner=payload.get("corner"),
             slender=slender,
             anchor=anchor,
             **kwargs,
@@ -321,7 +338,7 @@ class PipelineConfig:
             "anchor": None,
         }
         if self.slender is not None:
-            a = self.slender.get("a")
+            a = self.slender["a"]
             out["slender"] = (
                 {"a_re": a.real, "a_im": a.imag} if a is not None else {}
             )
@@ -522,7 +539,7 @@ def corner_map(cfg: PipelineConfig) -> ComposedMap:
     """
     if cfg.corner is None:
         raise InputError("corner_map needs a corner declaration")
-    k, N, t0 = int(cfg.corner["k"]), int(cfg.corner["N"]), float(cfg.corner["t0"])
+    k, N, t0 = cfg.corner["k"], cfg.corner["N"], cfg.corner["t0"]
     CFApproximant(k, N, cfg.n_iter)
     samples = _boundary_samples(cfg)
     S = len(samples)
@@ -622,10 +639,9 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
         raise InputError("slender_map needs a slender declaration")
     curve = _boundary_curve(cfg)
     samples = _boundary_samples(cfg)
-    a = cfg.slender.get("a")
+    a = cfg.slender["a"]
     if a is None:
         a = _default_a(curve, samples)
-    a = complex(a)
 
     if winding_number(samples, a) != 0:
         raise PipelineError(

@@ -130,7 +130,7 @@ class ReparamSolution:
 
     def q(self, t):
         """Evaluate the correction ``q(t)`` from its coefficients."""
-        return _correction(self.alpha, self.beta, t)
+        return _series_at(np.append(0.0, self.alpha - 1j * self.beta), t)
 
     def theta(self, t):
         """Trigonometric interpolant of ``theta`` at arbitrary parameters."""
@@ -175,55 +175,52 @@ class PolynomialMap:
         return self.coeffs[1:] * k
 
 
-def _correction(alpha, beta, t):
-    """``q(t) = sum_p alpha_p cos(pt) + beta_p sin(pt)``, ``p = 1..M``."""
-    pt = np.multiply.outer(np.asarray(t, dtype=float), np.arange(1, len(alpha) + 1))
-    return np.cos(pt) @ alpha + np.sin(pt) @ beta
-
-
 def _grid(P: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(P) / P
+
+
+def _half_spectrum(values) -> np.ndarray:
+    """Half spectrum ``c`` of the trigonometric interpolant of real samples
+    on the uniform grid: ``f(t) = Re sum_p c_p e^{ipt}``, ``p = 0..P//2``.
+
+    ``c_p = (2/P) rfft(values)[p]``, with the mean ``c_0`` and, for even
+    ``P``, the Nyquist mode ``c_{P/2}`` halved: each stands for one
+    frequency, not a pair.  The cosine and sine coefficients ``a_p, b_p``
+    of any other mode are ``c_p = a_p - i b_p``.
+    """
+    values = np.asarray(values, dtype=float)
+    P = len(values)
+    c = np.fft.rfft(values) * (2.0 / P)
+    c[0] *= 0.5
+    if P % 2 == 0:
+        c[-1] *= 0.5
+    return c
+
+
+def _series_at(c: np.ndarray, t):
+    """``Re sum_p c_p e^{ipt}`` at arbitrary ``t`` (scalar or array), by
+    :func:`horner` in ``e^{it}``."""
+    t = np.asarray(t, dtype=float)
+    out = horner(c, np.exp(1j * t)).real
+    return float(out) if t.ndim == 0 else out
+
+
+def _series_on_grid(c: np.ndarray, n: int) -> np.ndarray:
+    """``Re sum_p c_p e^{ipt}`` at the ``n`` uniform nodes by one inverse
+    real FFT.  Needs ``n > 2 max p``: a mode at ``n/2`` would count once."""
+    return 0.5 * (np.fft.irfft(c, n, norm="forward") + c[0].real)
 
 
 def periodic_interpolator(values: np.ndarray):
     """Spectral interpolant of periodic samples on the uniform grid.
 
     Returns ``(ev, ev_prime)`` evaluating the trigonometric interpolant and
-    its derivative at arbitrary parameters (scalar or array).  The spectrum
-    is computed once; evaluation runs :func:`horner` in ``e^{it}``.
+    its derivative at arbitrary parameters (scalar or array), both from
+    one :func:`_half_spectrum`.
     """
-    values = np.asarray(values, dtype=float)
-    P = len(values)
-    vh = np.fft.fft(values) / P
-    half = P // 2
-    mean = vh[0].real
-    # coef[p] multiplies e^{ipt} for p = 1..(P-1)//2 (each mode paired with
-    # its negative); coef[0] is zero so that the mean stays exact.  For even
-    # P the Nyquist mode P/2 is real and kept apart
-    coef = 2.0 * vh[: (P + 1) // 2]
-    coef[0] = 0.0
-    dcoef = 1j * np.arange(len(coef)) * coef
-    nyquist = vh[half].real if P % 2 == 0 and half >= 1 else 0.0
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = mean + horner(coef, np.exp(1j * t)).real
-        if P % 2 == 0:
-            out += nyquist * np.cos(half * t)
-        return float(out[0]) if scalar else out
-
-    def ev_prime(t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = horner(dcoef, np.exp(1j * t)).real
-        if P % 2 == 0:
-            out += -half * nyquist * np.sin(half * t)
-        return float(out[0]) if scalar else out
-
-    return ev, ev_prime
+    c = _half_spectrum(values)
+    dc = 1j * np.arange(len(c)) * c
+    return (lambda t: _series_at(c, t)), (lambda t: _series_at(dc, t))
 
 
 def _hankel(c: np.ndarray) -> np.ndarray:
@@ -409,11 +406,11 @@ def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
     np.multiply(X.imag.T, w, out=A[:, M:])
     A[np.diag_indices(2 * M)] += 1.0
 
-    # right-hand side: conjugate of ln|z| plus the continuous-kernel part;
-    # (2/P) rfft(v)[1..M] = a - ib for the cosine/sine coefficients a, b
-    su = (2.0 / P) * np.fft.rfft(u)[1 : M + 1]
+    # right-hand side: conjugate of ln|z| plus the continuous-kernel part,
+    # from half spectra a - ib (modes 1..M, below the Nyquist mode)
+    su = _half_spectrum(u)[1 : M + 1]
     rl = (2.0 / P) * ul  # (1/pi) int ln|z(tau)| L(tau, t) dtau at t_j
-    sr = (2.0 / P) * np.fft.rfft(rl)[1 : M + 1]
+    sr = _half_spectrum(rl)[1 : M + 1]
     conj_a, conj_b = conjugate_periodic(su.real, -su.imag)
     F = -conj_a + sr.real
     G = -conj_b - sr.imag
@@ -446,7 +443,8 @@ def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
         )
     x = lu_solve((lu, piv), system.rhs())
     alpha, beta = x[:M], x[M:]
-    theta = unwrap_arg(curve, P) + _correction(alpha, beta, _grid(P))
+    q = np.append(0.0, alpha - 1j * beta)  # q(t) = Re sum_p q_p e^{ipt}
+    theta = unwrap_arg(curve, P) + _series_on_grid(q, P)
     closing = theta[0] + 2.0 * np.pi - theta[-1]
     monotone = bool(np.all(np.diff(theta) > 0.0) and closing > 0.0)
     return ReparamSolution(
@@ -476,15 +474,12 @@ def correspondence_inverse(theta_grid: np.ndarray):
     theta_grid = np.asarray(theta_grid, dtype=float)
     P = len(theta_grid)
     theta0 = theta_grid[0]
-    v = theta_grid - _grid(P)
-    v_ev, v_prime = periodic_interpolator(v)
+    c = _half_spectrum(theta_grid - _grid(P))
+    dc = 1j * np.arange(len(c)) * c
 
     fine = INVERSE_UPSAMPLE * P
-    spectrum = np.fft.rfft(v)
-    if P % 2 == 0:
-        spectrum[-1] *= 0.5  # the Nyquist mode splits between +-P/2
     t_tab = _grid(fine)
-    th_tab = t_tab + np.fft.irfft(spectrum, fine) * (fine / P)
+    th_tab = t_tab + _series_on_grid(c, fine)
     t_tab = np.append(t_tab, 2.0 * np.pi)
     th_tab = np.maximum.accumulate(np.append(th_tab, theta0 + 2.0 * np.pi))
     h = 2.0 * np.pi / fine
@@ -499,9 +494,9 @@ def correspondence_inverse(theta_grid: np.ndarray):
         j = np.clip(np.floor(t / h), 0, fine - 1)
         lo, hi = (j - 1.0) * h, (j + 2.0) * h
         for _ in range(2):
-            step = (t + v_ev(t) - th_red) / (1.0 + v_prime(t))
+            step = (t + _series_at(c, t) - th_red) / (1.0 + _series_at(dc, t))
             t = np.clip(t - step, lo, hi)
-        resid = float(np.max(np.abs(t + v_ev(t) - th_red), initial=0.0))
+        resid = float(np.max(np.abs(t + _series_at(c, t) - th_red), initial=0.0))
         if not resid <= INVERSE_TOL:
             raise SolverError(
                 f"correspondence inverse residual {resid:.3e} "

@@ -398,6 +398,31 @@ class TestConfigJson:
         cfg = PipelineConfig(boundary=unit_circle, slender={"a": -2.0}, anchor=4)
         assert cfg.anchor == 4.0 + 0.0j and isinstance(cfg.anchor, complex)
 
+    @pytest.mark.parametrize(
+        "block, match",
+        [
+            ({"corner": {"k": 1, "N": 2}}, "corner is missing the key 't0'"),
+            ({"corner": {"t0": 0, "k": "one", "N": 2}}, "malformed corner"),
+            ({"corner": [0.0, 1, 2]}, "malformed corner"),
+            ({"slender": {"a": "x"}}, "slender a must be a point"),
+            ({"slender": {"a": True}}, "slender a must be a point"),
+            ({"slender": {"a_re": -1.3}}, "slender must be"),
+            ({"slender": -1.3}, "slender must be"),
+        ],
+    )
+    def test_python_blocks_checked(self, block, match):
+        with pytest.raises(InputError, match=match):
+            PipelineConfig(boundary=ellipse_curve(), **block)
+
+    def test_python_blocks_normalized(self):
+        curve = ellipse_curve()
+        cfg = PipelineConfig(boundary=curve, corner={"t0": 0, "k": 1.0, "N": 2})
+        assert cfg.corner == {"t0": 0.0, "k": 1, "N": 2}
+        assert isinstance(cfg.corner["t0"], float) and isinstance(cfg.corner["k"], int)
+        assert PipelineConfig(boundary=curve, slender={}).slender == {"a": None}
+        a = PipelineConfig(boundary=curve, slender={"a": -2}).slender["a"]
+        assert a == -2.0 + 0.0j and isinstance(a, complex)
+
     def test_slender_json_default_a(self, tmp_path):
         payload = {
             "boundary": {

@@ -19,6 +19,7 @@ from cforge import (
 from cforge import reparam_solver
 from cforge.errors import InputError, NonMonotoneThetaError, SolverError
 from cforge.reparam_solver import INVERSE_TOL, PolynomialMap, correspondence_inverse
+from cforge.fourier_boundary import unwrap_arg
 from cforge.suites import jordan_positive_curve, planted_oracle_curve
 
 
@@ -343,6 +344,60 @@ class TestPeriodicInterpolator:
         assert np.max(np.abs(ev(s) - np.cos(2 * s) - 0.5 * np.sin(k * s))) < 1e-13
         d = -2 * np.sin(2 * s) + 0.5 * k * np.cos(k * s)
         assert np.max(np.abs(ev_prime(s) - d)) < 1e-12
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("P", [1, 2, 5, 7, 8, 2400])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_both_evaluators_reproduce_white_noise(self, P, seed):
+        v = np.random.default_rng(seed).standard_normal(P)
+        c = reparam_solver._half_spectrum(v)
+        assert len(c) == P // 2 + 1
+        tol = 2e-13 * np.sum(np.abs(c))
+        t = 2 * np.pi * np.arange(P) / P
+        assert np.max(np.abs(reparam_solver._series_at(c, t) - v)) <= tol
+        # the FFT evaluator needs n > 2 max p: on the P grid itself an
+        # even P's Nyquist mode would count once, not twice
+        fine = 2 * np.pi * np.arange(16 * P) / (16 * P)
+        on_grid = reparam_solver._series_on_grid(c, 16 * P)
+        assert np.max(np.abs(on_grid - reparam_solver._series_at(c, fine))) <= tol
+
+    def test_scalar_parameter(self):
+        c = reparam_solver._half_spectrum([1.0, 2.0, 4.0, 3.0])
+        out = reparam_solver._series_at(c, 0.5 * np.pi)
+        assert isinstance(out, float) and out == pytest.approx(2.0, abs=1e-14)
+
+
+def _q_reference(alpha, beta, t):
+    """``sum_p alpha_p cos(pt) + beta_p sin(pt)`` by explicit cos/sin tables."""
+    pt = np.multiply.outer(np.asarray(t, dtype=float), np.arange(1, len(alpha) + 1))
+    return np.cos(pt) @ alpha + np.sin(pt) @ beta
+
+
+class TestCorrectionSeries:
+    @pytest.fixture(scope="class")
+    def solved(self):
+        curve = FourierCurve((-1, 1, 3), (0.2, 1.0, 0.1 + 0.05j))
+        return curve, solve_reparam(curve, 24, 192)
+
+    def _tol(self, sol):
+        return 1e-13 * np.sum(np.abs(sol.alpha) + np.abs(sol.beta))
+
+    def test_q_matches_cos_sin_reference(self, solved, rng):
+        _, sol = solved
+        assert np.max(np.abs(sol.alpha)) > 1e-3 and np.max(np.abs(sol.beta)) > 1e-3
+        t = np.concatenate([rng.uniform(-7.0, 7.0, 500), [0.0, np.pi]])
+        ref = _q_reference(sol.alpha, sol.beta, t)
+        assert np.max(np.abs(sol.q(t) - ref)) <= self._tol(sol)
+        assert sol.q(1.25) == pytest.approx(
+            float(_q_reference(sol.alpha, sol.beta, 1.25)), abs=self._tol(sol)
+        )
+
+    def test_theta_grid_is_arg_plus_q(self, solved):
+        curve, sol = solved
+        grid = 2 * np.pi * np.arange(sol.grid_size) / sol.grid_size
+        expect = unwrap_arg(curve, sol.grid_size) + sol.q(grid)
+        assert np.max(np.abs(sol.theta_grid - expect)) <= self._tol(sol)
 
 
 class TestSolve:
