@@ -22,6 +22,7 @@ from .reparam_solver import PolynomialMap
 __all__ = [
     "DeviationReport",
     "boundary_distance",
+    "boundary_distances",
     "boundary_deviation",
     "univalence_check",
     "render_polar_net",
@@ -51,8 +52,10 @@ class DeviationReport:
         )
 
 
-def _nearest_distance(points, target, grid: int):
-    """Distance from each point to the target curve.
+def _nearest_distance(target, grid: int):
+    """Callable giving the distance from each of an array of points to the
+    target curve; the target's samples, k-d tree and derivative curves are
+    built once, here, for every array it measures.
 
     The nearest of ``16 * grid`` uniform parameter samples of the target is
     found by one k-d tree query over all points, and its distance is taken
@@ -74,40 +77,51 @@ def _nearest_distance(points, target, grid: int):
         dcurve = d2curve = None
     if not np.all(np.isfinite(tgt)):
         raise InputError("target curve has non-finite samples")
-    points = np.asarray(points, dtype=complex)
-    # a non-finite point keeps a non-finite distance, as the dense argmin gave
-    finite = np.isfinite(points)
-    j = np.zeros(len(points), dtype=np.intp)
     tree = cKDTree(np.column_stack([tgt.real, tgt.imag]))
-    ok_pts = points[finite]
-    _, j[finite] = tree.query(np.column_stack([ok_pts.real, ok_pts.imag]))
-    best = np.abs(points - tgt[j])
-    if dcurve is None:
-        return best
-    # one Newton step on g(s) = Re[(z(s)-p) conj(z'(s))] = 0
-    s0 = s[j]
-    zs = eval_curve(target, s0)
-    zp = eval_curve(dcurve, s0)
-    zpp = eval_curve(d2curve, s0)
-    diff = zs - points
-    g = (diff * np.conj(zp)).real
-    gp = (np.abs(zp) ** 2 + (diff * np.conj(zpp)).real)
-    ok = np.abs(gp) > 1e-30
-    step = np.where(ok, g / np.where(ok, gp, 1.0), 0.0)
-    step = np.clip(step, -2.0 * np.pi / fine, 2.0 * np.pi / fine)
-    s0 = s0 - step
-    refined = np.abs(eval_curve(target, s0) - points)
-    return np.minimum(best, refined)
+
+    def distance(points):
+        points = np.asarray(points, dtype=complex)
+        # a non-finite point keeps a non-finite distance, as the dense argmin gave
+        finite = np.isfinite(points)
+        j = np.zeros(len(points), dtype=np.intp)
+        ok_pts = points[finite]
+        _, j[finite] = tree.query(np.column_stack([ok_pts.real, ok_pts.imag]))
+        best = np.abs(points - tgt[j])
+        if dcurve is None:
+            return best
+        # one Newton step on g(s) = Re[(z(s)-p) conj(z'(s))] = 0
+        s0 = s[j]
+        zs = eval_curve(target, s0)
+        zp = eval_curve(dcurve, s0)
+        zpp = eval_curve(d2curve, s0)
+        diff = zs - points
+        g = (diff * np.conj(zp)).real
+        gp = (np.abs(zp) ** 2 + (diff * np.conj(zpp)).real)
+        ok = np.abs(gp) > 1e-30
+        step = np.where(ok, g / np.where(ok, gp, 1.0), 0.0)
+        step = np.clip(step, -2.0 * np.pi / fine, 2.0 * np.pi / fine)
+        s0 = s0 - step
+        refined = np.abs(eval_curve(target, s0) - points)
+        return np.minimum(best, refined)
+
+    return distance
+
+
+def boundary_distances(target, grid: int = 256):
+    """Callable ``cmap -> boundary_distance(cmap, target, grid)`` that
+    prepares the target once for all the maps it measures."""
+    if grid < 256:
+        raise InputError("deviation grid must be at least 256")
+    zeta = np.exp(2j * np.pi * np.arange(grid) / grid)
+    distance = _nearest_distance(target, grid)
+    return lambda cmap: distance(evaluate_composed(cmap, zeta))
 
 
 def boundary_distance(cmap: ComposedMap, target, grid: int = 256) -> np.ndarray:
     """Distance of the images of ``grid`` unit-circle points from the
     target curve (a FourierCurve, or any 2 pi-periodic parametric callable).
     """
-    if grid < 256:
-        raise InputError("deviation grid must be at least 256")
-    zeta = np.exp(2j * np.pi * np.arange(grid) / grid)
-    return _nearest_distance(evaluate_composed(cmap, zeta), target, grid)
+    return boundary_distances(target, grid)(cmap)
 
 
 def boundary_deviation(

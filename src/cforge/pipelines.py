@@ -73,6 +73,10 @@ ANCHOR_TIE_RTOL = 1e-9
 # residual |core(beta) - target| accepted, relative to max |core coefficient|
 REANCHOR_STEPS = 80
 REANCHOR_TOL = 1e-10
+# a refit coefficient at most this times max |sample| is round-off: each
+# side of the support ends at the last coefficient above it (the plateau
+# cut of Aurentz & Trefethen, "Chopping a Chebyshev series", 2017)
+REFIT_FLOOR = 64 * np.finfo(float).eps
 # parameter names of each stage kind, in ``PlaneTransform.params`` order
 STAGE_FIELDS = {
     "affine": ("a", "b"),
@@ -239,6 +243,8 @@ class PipelineConfig:
                 raise InputError(f"corner is missing the key {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise InputError(f"malformed corner {self.corner!r}: {exc}") from exc
+            if (corner["k"], corner["N"]) != (k, N):
+                raise InputError(f"corner k and N must be integers: {self.corner!r}")
             object.__setattr__(self, "corner", corner)
         if self.slender is not None:
             if not isinstance(self.slender, dict) or set(self.slender) - {"a"}:
@@ -349,9 +355,8 @@ class PipelineConfig:
                 "coeffs": io.coeffs_to_json(self.boundary.ks, self.boundary.cs)
             }
         else:
-            out["boundary"] = {
-                "samples": [[z.real, z.imag] for z in self.samples]
-            }
+            s = self.samples
+            out["boundary"] = {"samples": np.column_stack([s.real, s.imag]).tolist()}
         return out
 
 
@@ -443,15 +448,25 @@ def _boundary_samples(cfg: PipelineConfig) -> np.ndarray:
     return eval_curve(cfg.boundary, t)
 
 
+def _fit(samples: np.ndarray, degree: int) -> FourierCurve:
+    """Fit of support ``[-degree, degree]``, cut on each side past the last
+    coefficient above ``REFIT_FLOOR * max |samples|``: the solve then runs
+    at the curve's true support, not at its round-off tail."""
+    curve = fit_from_samples(samples, degree, degree)
+    floor = REFIT_FLOOR * float(np.max(np.abs(samples)))
+    above = [k for k, c in zip(curve.ks, curve.cs) if k == 0 or abs(c) > floor]
+    keep = slice(min(above) + degree, max(above) + degree + 1)
+    return FourierCurve(curve.ks[keep], curve.cs[keep])
+
+
 def _boundary_curve(cfg: PipelineConfig) -> FourierCurve:
     if cfg.boundary is not None:
         return cfg.boundary
-    d = cfg.refit_degree
-    return fit_from_samples(cfg.samples, d, d)
+    return _fit(cfg.samples, cfg.refit_degree)
 
 
 def _refit(samples: np.ndarray, degree: int, tol_scale: float, label: str):
-    curve = fit_from_samples(samples, degree, degree)
+    curve = _fit(samples, degree)
     t = 2.0 * np.pi * np.arange(len(samples)) / len(samples)
     resid = float(np.max(np.abs(eval_curve(curve, t) - samples)))
     diam = float(np.max(np.abs(samples - samples.mean())))
@@ -479,11 +494,12 @@ def _solve_core(curve: FourierCurve, anchor: complex, cfg: PipelineConfig):
 
 
 def _composed(
-    kind: str, cfg: PipelineConfig, construction, stages, sol, core, **extra
+    kind: str, cfg: PipelineConfig, curve, construction, stages, sol, core, **extra
 ) -> ComposedMap:
     """The composed map with its provenance: the config snapshot, the
-    described ``construction`` transforms (domain to solved curve), the
-    solver diagnostics and the pipeline's own ``extra`` entries."""
+    described ``construction`` transforms (domain to solved ``curve``), the
+    solver diagnostics with the solved support and the pipeline's own
+    ``extra`` entries."""
     provenance = {
         "kind": kind,
         "config": cfg.snapshot(),
@@ -492,6 +508,8 @@ def _composed(
         "solver": {
             "M": sol.M,
             "P": sol.grid_size,
+            "n": curve.n,
+            "m": curve.m,
             "condition": sol.condition,
             "monotone": sol.monotone,
             "neg_residual": core.neg_residual,
@@ -524,7 +542,7 @@ def smooth_map(cfg: PipelineConfig) -> ComposedMap:
     sol, core = _solve_core(curve, centroid, cfg)
     stages = [PlaneTransform("affine", (1.0, centroid))] if centroid != 0 else []
     construction = [PlaneTransform("affine", (1.0, -centroid))]
-    return _composed("smooth", cfg, construction, stages, sol, core)
+    return _composed("smooth", cfg, curve, construction, stages, sol, core)
 
 
 def corner_map(cfg: PipelineConfig) -> ComposedMap:
@@ -595,7 +613,7 @@ def corner_map(cfg: PipelineConfig) -> ComposedMap:
         "theta_corner": float(sol.theta(t0)),
     }
     return _composed(
-        "corner", cfg, construction, stages, sol, core,
+        "corner", cfg, straight_curve, construction, stages, sol, core,
         corner=corner, refit_deviation=refit_resid,
     )
 
@@ -686,8 +704,9 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     if cfg.anchor is not None:
         chosen_anchor, chosen = cfg.anchor, core_at(cfg.anchor)
     else:
-        from .geometry_checks import boundary_distance
+        from .geometry_checks import boundary_distances
 
+        distance = boundary_distances(curve, ANCHOR_SEARCH_GRID)
         best = None
         for frac in ANCHOR_FRACTIONS:
             anchor = base_anchor + frac * (u_centroid - base_anchor)
@@ -695,9 +714,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
             entry = {"frac": frac, "anchor": [anchor.real, anchor.imag]}
             search_log.append(entry)
             try:
-                dist = boundary_distance(
-                    ComposedMap(stages(anchor), core), curve, ANCHOR_SEARCH_GRID
-                )
+                dist = distance(ComposedMap(stages(anchor), core))
             except DomainError as exc:
                 # candidate's boundary image grazes the root-approximant cut
                 entry["rejected"] = str(exc)
@@ -724,7 +741,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
         "anchor_search": search_log,
     }
     return _composed(
-        "slender", cfg, construction, stages(chosen_anchor), sol, chosen,
+        "slender", cfg, squared_curve, construction, stages(chosen_anchor), sol, chosen,
         slender=slender, refit_deviation=refit_resid,
     )
 

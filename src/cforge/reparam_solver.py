@@ -11,20 +11,26 @@ parameter derivative of the argument of the chord quotient
 ``(z(tau)-z(t)) / (e^{i tau}-e^{i t})``.  The quotient is expanded through
 the finite geometric-sum factorization of ``e^{ik tau} - e^{ik t}``, so the
 diagonal ``tau = t`` is a regular point and no limits are taken.  Swapping
-the order of the two finite sums makes the quotient a rank-``2L`` product
-``A(tau) B(t)`` (``L = max|k|`` over the curve), whose factors are Hankel
-matrices of the coefficients applied to powers of ``e^{+-ix}``; the scalar
-kernels use one row and one column of the same factors.  Truncating ``q``
-at ``M`` modes and projecting yields a dense ``2M x 2M`` block system; the
-right-hand side combines the conjugate function of ``ln|z|`` (the
-separated cotangent part) with the remaining continuous-kernel integral.
+the order of the two finite sums makes the quotient a rank-``(n + m)``
+product ``A(tau) B(t)`` (``[-m, n]`` the curve's support), whose factors
+are Hankel matrices of the coefficients applied to powers of ``e^{+-ix}``;
+the scalar kernels use one row and one column of the same factors.
+Truncating ``q`` at ``M`` modes and projecting yields a dense ``2M x 2M``
+block system; the right-hand side combines the conjugate function of
+``ln|z|`` (the separated cotangent part) with the remaining
+continuous-kernel integral.
 
 The trapezoid projection of the sampled kernel onto ``cos(lt), sin(lt)``
-is a discrete Fourier transform, so assembly streams over blocks of
-``ASSEMBLY_ROWS`` tau rows: each block of the quotient is built from the
-factors, transformed along t by one real FFT per row, and dropped, and a
-second real FFT along tau of the ``P x 2M`` row spectra gives the blocks.
-No ``P x P`` array is ever allocated.
+is a discrete Fourier transform, so assembly streams over blocks of tau
+rows sized in bytes (``ASSEMBLY_BLOCK_BYTES`` per block of the quotient,
+so that the working set stays in cache): one matrix product of the
+interleaved rows of ``A`` and ``A_tau`` writes a block of the quotient
+and its derivative into one reused buffer, which is transformed along t
+by one real FFT per row.  Real FFTs along tau of the ``2M x P`` row
+spectra, a few rows at a time, then give the blocks.  No ``P x P`` array
+and no full tau spectrum is ever allocated, so the cost follows the
+curve's support: a curve refitted from samples should be cut at its
+round-off floor first, as the pipelines do.
 """
 
 from __future__ import annotations
@@ -63,8 +69,9 @@ __all__ = [
 QUOTIENT_TOL = 1e-13
 # largest peak memory assemble_system and the solve may take
 ASSEMBLY_MAX_BYTES = 4 * 2**30
-# tau rows of the chord-quotient grid alive at a time during assembly
-ASSEMBLY_ROWS = 128
+# bytes of one block of complex chord-quotient rows streamed by assembly:
+# a block of W and one of W_tau stay in the L2 cache
+ASSEMBLY_BLOCK_BYTES = 2**20
 # largest |theta(t) - theta*| the correspondence inverse may leave
 INVERSE_TOL = 1e-10
 # samples per grid interval in the inverse's seed table
@@ -230,6 +237,11 @@ def _hankel(c: np.ndarray) -> np.ndarray:
     return np.concatenate([c, np.zeros_like(c)])[np.add.outer(i, i)]
 
 
+def _powers(x: np.ndarray, L: int) -> np.ndarray:
+    """Power table ``e^{ikx}``, ``k = 0..L``: one row per abscissa."""
+    return np.exp(1j * np.multiply.outer(x, np.arange(L + 1)))
+
+
 def _chord_factors(curve: FourierCurve, tau, t):
     """Low-rank factors of the chord quotient ``W`` and its tau-derivative.
 
@@ -246,34 +258,50 @@ def _chord_factors(curve: FourierCurve, tau, t):
     right/bottom block (``n``, ``m`` the curve's largest positive and
     negative degrees), so the rank is ``n + m <= 2L``, ``L = max|k|``.  The
     inner sums are Hankel matrices of the coefficients applied to powers of
-    ``e^{+-ix}``.  ``W_tau = A_tau(tau) @ B(t)`` reuses B and differentiates
-    A column by column.  Returns ``(A, A_tau, B)`` with one row of A per
-    ``tau`` and one column of B per ``t``.
+    ``e^{+-ix}``.  All powers come from one table ``e^{ikx}``, ``k = 0..L``,
+    per abscissa set (the negative ones as conjugates: ``e^{-ij tau} H`` is
+    the conjugate of ``e^{ij tau} conj(H)``).  ``W_tau = A_tau(tau) @ B(t)``
+    reuses B and differentiates A column by column.
+
+    Returns ``(F, B)``: ``F[i, 0]`` is the row of A and ``F[i, 1]`` the row
+    of ``A_tau`` at ``tau_i``, so ``F.reshape(-1, n + m)`` interleaves the
+    two, and B holds one column per ``t``.  Both are written in place; the
+    power table is the only temporary.
     """
+    shared = t is tau
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = tau if shared else np.atleast_1d(np.asarray(t, dtype=float))
     coeffs = curve.coeffs
     n, m = curve.n, curve.m
-    lp = np.arange(n)
-    ln = np.arange(m)
     hp = _hankel(np.array([coeffs.get(k, 0.0) for k in range(1, n + 1)], complex))
     hn = _hankel(np.array([coeffs.get(-k, 0.0) for k in range(1, m + 1)], complex))
-    Ap = np.exp(1j * np.multiply.outer(tau, lp))
-    En = np.exp(-1j * np.multiply.outer(tau, ln + 1))
-    A = np.hstack([Ap, -(En @ hn)])
-    A_tau = np.hstack([1j * lp * Ap, (1j * (ln + 1) * En) @ hn])
-    B = np.vstack(
-        [
-            hp @ np.exp(1j * np.multiply.outer(lp + 1, t)),
-            np.exp(-1j * np.multiply.outer(ln, t)),
-        ]
-    )
-    return A, A_tau, B
+    hc = hn.conj()
+    E = _powers(tau, max(n, m))
+    F = np.empty((len(tau), 2, n + m), dtype=complex)
+    A, A_tau = F[:, 0, n:], F[:, 1, n:]
+    F[:, 0, :n] = E[:, :n]
+    np.multiply(E[:, :n], 1j * np.arange(n), out=F[:, 1, :n])
+    np.matmul(E[:, 1 : m + 1], -hc, out=A)
+    np.matmul(E[:, 1 : m + 1], -1j * np.arange(1, m + 1)[:, None] * hc, out=A_tau)
+    np.conjugate(A, out=A)
+    np.conjugate(A_tau, out=A_tau)
+    if not shared:
+        E = _powers(t, max(n, m))
+    B = np.empty((n + m, len(t)), dtype=complex)
+    np.matmul(hp, E[:, 1 : n + 1].T, out=B[:n])
+    np.conjugate(E[:, :m].T, out=B[n:])
+    return F, B
+
+
+def _block_rows(P: int) -> int:
+    """Rows of ``P`` complex entries that fit in ``ASSEMBLY_BLOCK_BYTES``
+    (at least one, at most ``P``)."""
+    return min(P, max(1, ASSEMBLY_BLOCK_BYTES // (16 * P)))
 
 
 def _chord_quotient_blocks(curve: FourierCurve, P: int):
     """Chord quotient ``W`` and its tau-derivative on the P x P uniform grid,
-    ``ASSEMBLY_ROWS`` rows at a time.
+    :func:`_block_rows` rows at a time.
 
     Row index runs over tau, column index over t.  Uses the factorization
     ``(z(tau)-z(t))/(e^{i tau}-e^{i t}) = e^{-it} W(tau,t)``, where W is
@@ -282,15 +310,25 @@ def _chord_quotient_blocks(curve: FourierCurve, P: int):
     tau-derivatives of log W and is dropped.
 
     W has rank at most ``2L`` (``L = max|k|``): with the factors of
-    :func:`_chord_factors` each block is one complex matrix product,
-    ``W = A[r0:r1] B`` and ``W_tau = A_tau[r0:r1] B``.  Yields
-    ``(r0, W, W_tau)`` for the rows ``r0 .. r0 + len(W) - 1``.
+    :func:`_chord_factors` one complex matrix product of the interleaved
+    rows of ``A`` and ``A_tau`` with B gives a block of both ``W`` and
+    ``W_tau``.  The factors are built by the call; the returned iterator
+    yields ``(r0, W, W_tau)`` for the rows ``r0 .. r0 + len(W) - 1``, as
+    views of one buffer that the next block overwrites.
     """
-    tau = _grid(P)
-    A, A_tau, B = _chord_factors(curve, tau, tau)
-    for r0 in range(0, P, ASSEMBLY_ROWS):
-        rows = slice(r0, r0 + ASSEMBLY_ROWS)
-        yield r0, A[rows] @ B, A_tau[rows] @ B
+    grid = _grid(P)
+    F, B = _chord_factors(curve, grid, grid)
+    F = F.reshape(2 * P, -1)
+    rows = _block_rows(P)
+
+    def blocks():
+        buf = np.empty((2 * rows, P), dtype=complex)
+        for r0 in range(0, P, rows):
+            pairs = F[2 * r0 : 2 * (r0 + rows)]
+            WW = np.matmul(pairs, B, out=buf[: len(pairs)])
+            yield r0, WW[0::2], WW[1::2]
+
+    return blocks()
 
 
 def _quotient_floor(curve: FourierCurve) -> float:
@@ -300,13 +338,13 @@ def _quotient_floor(curve: FourierCurve) -> float:
 
 def _kernel_value(curve: FourierCurve, tau: float, t: float):
     """Scalar ``W'_tau / W``: one row of the grid factors against one column."""
-    A, A_tau, B = _chord_factors(curve, tau, t)
-    W = (A @ B)[0, 0]
+    F, B = _chord_factors(curve, tau, t)
+    W, W_tau = F[0] @ B[:, 0]
     if abs(W) < _quotient_floor(curve):
         raise SolverError(
             "chord quotient vanished: curve is degenerate or self-intersecting"
         )
-    return (A_tau @ B)[0, 0] / W
+    return W_tau / W
 
 
 def kernel_K(curve: FourierCurve, tau: float, t: float) -> float:
@@ -340,16 +378,44 @@ def conjugate_periodic(a, b):
 def _assembly_peak_bytes(P: int, M: int, rank: int) -> int:
     """Upper bound on the peak memory of assembling and solving the system.
 
-    While :func:`assemble_system` streams, the real ``P x 2M`` row spectra
-    (16 bytes per ``P M``) are alive with the three complex ``P x rank``
-    factors (48 bytes per ``rank P``, up to 80 while they are built) and
-    one block of rows: ``W``, ``W_tau`` and either ``|W|`` or the block's
-    row spectra, about 48 bytes per ``ASSEMBLY_ROWS x P`` entry.  Their tau
-    spectrum then takes another 16 bytes per ``P M``, and the ``2M x 2M``
-    matrix plus the LU copy of :func:`solve_reparam` take 64 bytes per
-    ``M^2``.
+    The three complex ``P x rank`` factors take 48 bytes per ``rank P``
+    throughout the stream.  Next to them live first the power table they
+    are built from (at most 16 bytes per ``(rank + 1) P``), then the real
+    ``2M x P`` row spectra (16 bytes per ``P M``), never both.  The stream
+    adds the buffer of a block of ``W`` and ``W_tau`` rows with ``|W|``, the
+    block's row spectra and the FFT's copy of ``Im W_tau / W``: under four
+    complex blocks of :func:`_block_rows` rows; the tau transform then runs
+    in chunks of about one.  The ``2M x 2M`` matrix plus the LU copy of
+    :func:`solve_reparam` take 64 bytes per ``M^2``.
     """
-    return 32 * P * M + (48 * ASSEMBLY_ROWS + 80 * rank) * P + 64 * M * M
+    return 16 * P * (3 * rank + max(M, rank + 1) + 4 * _block_rows(P)) + 64 * M * M
+
+
+def _row_spectra(curve: FourierCurve, M: int, P: int, u: np.ndarray):
+    """Stream the kernel grid: ``(rows, ul)`` with ``rows[p-1, tau]`` and
+    ``rows[M+p-1, tau]`` the sums over t of ``K(tau, t) cos(pt)`` and
+    ``K(tau, t) sin(pt)``, ``p = 1..M``, and ``ul[t]`` the sum over tau of
+    ``u(tau) L(tau, t)``.  The factors and the block buffers are freed on
+    return."""
+    floor = _quotient_floor(curve)
+    blocks = _chord_quotient_blocks(curve, P)
+    rows = np.empty((2 * M, P))
+    ul = np.zeros(P)
+    absW = np.empty((_block_rows(P), P))
+    spec = np.empty((_block_rows(P), P // 2 + 1), dtype=complex)
+    for r0, W, Wt in blocks:
+        r1 = r0 + len(W)
+        if np.min(np.abs(W, out=absW[: len(W)])) < floor:
+            raise SolverError(
+                "chord quotient vanished on the grid: curve is degenerate "
+                "or self-intersecting"
+            )
+        quot = np.divide(Wt, W, out=Wt)
+        kept = np.fft.rfft(quot.imag, axis=1, out=spec[: len(W)])[:, 1 : M + 1]
+        rows[:M, r0:r1] = kept.real.T
+        np.negative(kept.imag.T, out=rows[M:, r0:r1])
+        ul += (u[r0:r1] @ quot).real  # complex GEMV: quot.real is strided
+    return rows, ul
 
 
 def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
@@ -359,13 +425,14 @@ def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
     of every entry are evaluated with the periodic trapezoid rule (which is
     the spectrally accurate choice for periodic integrands).  Each trapezoid
     sum is a discrete Fourier transform, so the grid is streamed in blocks
-    of ``ASSEMBLY_ROWS`` tau rows: every row of the kernel ``K`` is
+    of :func:`_block_rows` tau rows: every row of the kernel ``K`` is
     transformed along t by a real FFT, keeping modes ``1..M``, and the
-    ``L``-kernel part of the right-hand side is accumulated; one real FFT
-    along tau of those ``P x 2M`` row spectra then gives all four blocks.
-    Requires ``P >= 4M``; the curve must wind once around the origin.
-    Sizes whose peak would exceed ``ASSEMBLY_MAX_BYTES`` are rejected
-    before anything is allocated.
+    ``L``-kernel part of the right-hand side is accumulated; real FFTs
+    along tau of those ``2M x P`` row spectra, a few rows at a time and
+    keeping modes ``1..M``, then give all four blocks.  Requires
+    ``P >= 4M``; the curve must wind once around the origin.  Sizes whose
+    peak would exceed ``ASSEMBLY_MAX_BYTES`` are rejected before anything
+    is allocated.
     """
     if M < 1:
         raise InputError("M must be >= 1")
@@ -377,33 +444,20 @@ def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
             f"assembly at M={M}, P={P} needs about {need / 2**30:.1f} GiB, "
             f"above the {ASSEMBLY_MAX_BYTES / 2**30:.0f} GiB cap"
         )
-    floor = _quotient_floor(curve)
     u = np.log(np.abs(eval_curve(curve, _grid(P))))
-    # row spectra: [sum_t K cos(pt) | sum_t K sin(pt)], p = 1..M, per tau
-    rows = np.empty((P, 2 * M))
-    ul = np.zeros(P)  # sum_tau ln|z(tau)| L(tau, t)
-    for r0, W, Wt in _chord_quotient_blocks(curve, P):
-        if np.min(np.abs(W)) < floor:
-            raise SolverError(
-                "chord quotient vanished on the grid: curve is degenerate "
-                "or self-intersecting"
-            )
-        quot = np.divide(Wt, W, out=Wt)
-        spec = np.fft.rfft(quot.imag, axis=1)[:, 1 : M + 1]
-        r1 = r0 + len(quot)
-        rows[r0:r1, :M] = spec.real
-        rows[r0:r1, M:] = -spec.imag
-        ul += (u[r0:r1] @ quot).real  # complex GEMV: quot.real is strided
-        del W, Wt, quot, spec  # so that one block is alive at a time
+    rows, ul = _row_spectra(curve, M, P, u)
 
-    # X[l, j] = sum_tau e^{-il tau} rows[tau, j]: the cos(l tau) projection
+    # X[j, l] = sum_tau e^{-il tau} rows[j, tau]: the cos(l tau) projection
     # is Re X and the sin(l tau) projection -Im X
-    X = np.fft.rfft(rows, axis=0)[1 : M + 1]
-    del rows
     w = 4.0 / P**2  # (1/pi^2) * (2 pi / P)^2
     A = np.empty((2 * M, 2 * M))
-    np.multiply(X.real.T, -w, out=A[:, :M])
-    np.multiply(X.imag.T, w, out=A[:, M:])
+    step = min(_block_rows(P // 2 + 1), 2 * M)
+    spec = np.empty((step, P // 2 + 1), dtype=complex)
+    for j0 in range(0, 2 * M, step):
+        chunk = rows[j0 : j0 + step]
+        X = np.fft.rfft(chunk, axis=1, out=spec[: len(chunk)])[:, 1 : M + 1]
+        np.multiply(X.real, -w, out=A[j0 : j0 + step, :M])
+        np.multiply(X.imag, w, out=A[j0 : j0 + step, M:])
     A[np.diag_indices(2 * M)] += 1.0
 
     # right-hand side: conjugate of ln|z| plus the continuous-kernel part,

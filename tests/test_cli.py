@@ -191,6 +191,14 @@ class TestMap:
         assert main(["map", "--config", cfg, "--out", str(tmp_path / "o5")]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("k", 1.5), ("N", 2.9), ("k", "1")])
+    def test_corner_non_integral_exit_2(self, tmp_path, capsys, key, value):
+        corner = {"t0": 0.0, "k": 1, "N": 2, key: value}
+        cfg = circle_config(tmp_path, corner=corner)
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o5")]) == 2
+        assert "corner k and N must be integers" in capsys.readouterr().err
+        assert not (tmp_path / "o5" / "manifest.json").exists()
+
     @pytest.mark.parametrize("slender", [None, {}])
     @pytest.mark.parametrize("grid", [0, -5])
     def test_sample_grid_not_positive_exit_2(self, tmp_path, capsys, slender, grid):

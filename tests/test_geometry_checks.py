@@ -62,7 +62,7 @@ class TestBoundaryDeviation:
 
 
 def _dense_nearest(points, target, grid):
-    """Reference for ``_nearest_distance``: argmin over the full distance
+    """Reference for ``_nearest_distance``'s callable: argmin over the full distance
     matrix to the 16x fine samples, then the same clipped Newton step."""
     fine = 16 * grid
     s = 2.0 * np.pi * np.arange(fine) / fine
@@ -98,7 +98,7 @@ class TestNearestDistance:
 
     def test_fourier_target_matches_dense_reference(self, rng):
         points = self.off_curve_points(rng)
-        got = _nearest_distance(points, self.ellipse, 256)
+        got = _nearest_distance(self.ellipse, 256)(points)
         assert np.array_equal(got, _dense_nearest(points, self.ellipse, 256))
         assert np.min(got) < 1e-2 and np.max(got) > 0.1
 
@@ -107,21 +107,19 @@ class TestNearestDistance:
             return np.cos(s) + 0.25j * np.sin(s)
 
         points = self.off_curve_points(rng)
-        got = _nearest_distance(points, target, 256)
+        got = _nearest_distance(target, 256)(points)
         assert np.array_equal(got, _dense_nearest(points, target, 256))
 
     def test_non_finite_point_keeps_non_finite_distance(self):
         points = np.array([1.1 + 0.0j, complex(np.nan, 0.0), complex(np.inf, 1.0)])
         with np.errstate(invalid="ignore"):
-            got = _nearest_distance(points, self.ellipse, 256)
+            got = _nearest_distance(self.ellipse, 256)(points)
         assert got[0] == pytest.approx(0.1, abs=1e-12)
         assert np.isnan(got[1]) and not np.isfinite(got[2])
 
     def test_non_finite_target_rejected(self):
         with pytest.raises(InputError):
-            _nearest_distance(
-                np.array([0.5 + 0.0j]), lambda s: np.full(s.shape, np.nan), 256
-            )
+            _nearest_distance(lambda s: np.full(s.shape, np.nan), 256)
 
 
 class TestUnivalence:

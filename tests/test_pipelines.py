@@ -24,6 +24,7 @@ from cforge.errors import (
     SectorViolationError,
     SelfIntersectionError,
 )
+from cforge import pipelines
 from cforge.pipelines import _check_simple, area_centroid, winding_number
 from cforge.suites import planted_oracle_curve
 
@@ -186,6 +187,31 @@ class TestSlender:
         zeta = np.exp(2j * np.pi * np.arange(64) / 64) * 0.9
         assert np.max(np.abs(evaluate_composed(cm, zeta) - zeta)) < 1e-4
 
+    def test_anchor_search_prepares_the_target_once(self, monkeypatch):
+        from cforge import geometry_checks
+
+        grids = []
+        build = geometry_checks._nearest_distance
+
+        def counted(target, grid):
+            grids.append(grid)
+            return build(target, grid)
+
+        monkeypatch.setattr(geometry_checks, "_nearest_distance", counted)
+        cfg = PipelineConfig(
+            boundary=ellipse_curve(), slender={"a": None}, M=32, P=256, D=64, n_iter=20
+        )
+        cm = slender_map(cfg)
+        log = cm.provenance["slender"]["anchor_search"]
+        assert len(log) == len(pipelines.ANCHOR_FRACTIONS)
+        assert grids == [pipelines.ANCHOR_SEARCH_GRID]
+        # the chosen candidate's score is its distance measured afresh
+        chosen = [e for e in log if e["anchor"] == cm.provenance["slender"]["anchor"]]
+        fresh = geometry_checks.boundary_distance(
+            cm, ellipse_curve(), pipelines.ANCHOR_SEARCH_GRID
+        )
+        assert chosen[0]["sup_deviation"] == float(np.max(fresh))
+
     def test_a_inside_rejected(self):
         cfg = PipelineConfig(
             boundary=ellipse_curve(), slender={"a": 0.2 + 0.05j}, M=16, D=8
@@ -296,6 +322,47 @@ BACKBONE_CASES = {
 }
 
 
+class TestRefitCut:
+    """FFT refits end each side of the support at the round-off floor."""
+
+    def test_slender_squared_ellipse_solves_at_its_support(self):
+        cfg = PipelineConfig(
+            boundary=ellipse_curve(), slender={"a": None}, M=32, P=256, D=64, n_iter=20
+        )
+        solver = slender_map(cfg).provenance["solver"]
+        # the squared ellipse has support [-2, 2]; the degree-24 refit
+        # carried a round-off tail out to |k| = 24
+        assert cfg.refit_degree == 24
+        assert (solver["n"], solver["m"]) == (2, 2)
+
+    def test_genuine_tail_is_kept(self):
+        t = 2 * np.pi * np.arange(4096) / 4096
+        tail = 1e-12 * (np.exp(9j * t) + np.exp(-11j * t))
+        curve = pipelines._fit(np.exp(1j * t) + 0.2 * np.exp(-1j * t) + tail, 24)
+        assert (curve.n, curve.m) == (9, 11)
+        assert abs(curve.coeff(9) - 1e-12) < 1e-15
+        assert abs(curve.coeff(-11) - 1e-12) < 1e-15
+
+    def test_pinned_corner_refit_keeps_every_term(self):
+        # the benchmark's corner job: its smallest end coefficient is
+        # about 8.6e-8, far above the floor
+        cm = corner_map(fold_config(1, 2, 11, D=50, M=128, refit=64))
+        solver = cm.provenance["solver"]
+        assert (solver["n"], solver["m"], solver["P"]) == (64, 64, 1024)
+
+    def test_refit_of_samples_is_cut(self):
+        t = 2 * np.pi * np.arange(1024) / 1024
+        samples = np.exp(1j * t) + 0.2 * np.exp(-1j * t)
+        cfg = PipelineConfig(samples=samples, M=16, D=16)
+        solver = smooth_map(cfg).provenance["solver"]
+        assert (solver["n"], solver["m"]) == (1, 1)
+
+
+# (n, m) of each backbone case's solved curve: the smooth curve as given,
+# the refits of the straightened corner and the squared ellipse after the cut
+SOLVED_SUPPORT = {"smooth": (2, 1), "corner": (24, 24), "slender": (2, 2)}
+
+
 class TestBackbone:
     @BACKBONE
     @given(
@@ -335,6 +402,8 @@ class TestBackbone:
         assert prov["solver"] == {
             "M": cfg.M,
             "P": cfg.P,
+            "n": SOLVED_SUPPORT[kind][0],
+            "m": SOLVED_SUPPORT[kind][1],
             "condition": prov["solver"]["condition"],
             "monotone": True,
             "neg_residual": cm.core.neg_residual,
@@ -371,6 +440,15 @@ class TestEvaluate:
 
 
 class TestConfigJson:
+    def test_snapshot_samples_keep_every_bit(self):
+        t = 2 * np.pi * np.arange(257) / 257
+        samples = corner_contour(t, 1, 3) * (0.3 - 1.7j) + (1e-17 + 2j)
+        cfg = PipelineConfig(samples=samples, corner={"t0": 0.0, "k": 1, "N": 3})
+        snap = cfg.snapshot()["boundary"]["samples"]
+        assert json.dumps(snap) == json.dumps([[z.real, z.imag] for z in samples])
+        again = PipelineConfig.from_json(json.dumps(cfg.snapshot()))
+        assert np.array_equal(again.samples, cfg.samples)
+
     def test_roundtrip_inline_curve(self, quadratic_curve):
         cfg = PipelineConfig(boundary=quadratic_curve, M=16, D=8)
         payload = cfg.snapshot()
@@ -408,6 +486,8 @@ class TestConfigJson:
             ({"slender": {"a": True}}, "slender a must be a point"),
             ({"slender": {"a_re": -1.3}}, "slender must be"),
             ({"slender": -1.3}, "slender must be"),
+            ({"corner": {"t0": 0, "k": 1.5, "N": 2}}, "must be integers"),
+            ({"corner": {"t0": 0, "k": 1, "N": 2.9}}, "must be integers"),
         ],
     )
     def test_python_blocks_checked(self, block, match):

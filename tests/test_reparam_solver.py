@@ -102,12 +102,19 @@ class TestChordGrid:
         ],
         ids=["both", "positive", "negative", "zero_c0"],
     )
-    def test_matches_direct_quotient(self, curve):
+    def test_matches_direct_quotient(self, curve, monkeypatch):
         from cforge import derivative_curve
 
+        # a budget of 100 rows: two full blocks and a partial one of 56
         P = 256
-        blocks = list(reparam_solver._chord_quotient_blocks(curve, P))
-        rows = reparam_solver.ASSEMBLY_ROWS
+        monkeypatch.setattr(reparam_solver, "ASSEMBLY_BLOCK_BYTES", 16 * P * 100)
+        rows = reparam_solver._block_rows(P)
+        assert rows == 100
+        # the yielded blocks are views of one buffer: keep copies
+        blocks = [
+            (r0, W.copy(), Wt.copy())
+            for r0, W, Wt in reparam_solver._chord_quotient_blocks(curve, P)
+        ]
         assert [r0 for r0, _, _ in blocks] == list(range(0, P, rows))
         W = np.vstack([b[1] for b in blocks])
         Wt = np.vstack([b[2] for b in blocks])
@@ -162,8 +169,13 @@ class TestAssemblyMemoryGuard:
 
     @pytest.mark.parametrize(
         "curve, M, P",
-        [(_ellipse(), 300, 2400), (_random_curve(np.arange(-64, 65), 3), 128, 1024)],
-        ids=["ellipse", "terms129"],
+        [
+            (_ellipse(), 300, 2400),
+            (_random_curve(np.arange(-64, 65), 3), 128, 1024),
+            # the power table outweighs the row spectra
+            (_random_curve(np.arange(-64, 65), 3), 8, 1024),
+        ],
+        ids=["ellipse", "terms129", "terms129_M8"],
     )
     def test_estimate_bounds_measured_peak(self, curve, M, P):
         peak = _traced_peak(assemble_system, curve, M, P)
@@ -245,8 +257,8 @@ class TestAssemble:
 def _dense_projection(curve, M, P):
     """The system built from the whole P x P kernel grid by dense GEMMs."""
     x = 2 * np.pi * np.arange(P) / P
-    A, A_tau, B = reparam_solver._chord_factors(curve, x, x)
-    quot = (A_tau @ B) / (A @ B)
+    F, B = reparam_solver._chord_factors(curve, x, x)
+    quot = (F[:, 1] @ B) / (F[:, 0] @ B)
     K, L = np.ascontiguousarray(quot.imag), quot.real
     p = np.arange(1, M + 1)
     C = np.cos(np.multiply.outer(p, x))
@@ -272,7 +284,7 @@ class TestStreamedAssembly:
         [
             (_random_curve(np.arange(-64, 65), 3), 128, 1024),
             (_ellipse(), 300, 2400),
-            # neither is a multiple of ASSEMBLY_ROWS; 1001 is odd
+            # neither is a multiple of the block rows; 1001 is odd
             (_random_curve(np.arange(-5, 6), 7), 200, 1000),
             (_random_curve(np.arange(-5, 6), 7), 200, 1001),
         ],
@@ -301,10 +313,11 @@ class TestStreamedAssembly:
 
     def test_vanishing_quotient_in_last_partial_block(self):
         # the cardioid e^{it} + c e^{2it}, c = -e^{-i t0}/2, has a cusp
-        # (z' = 0, so W(t0, t0) = -i z'(t0) = 0) at t0 = t_950 of P = 1000,
-        # which lies in the last, partial block of rows
-        P, j = 1000, 950
-        rows = reparam_solver.ASSEMBLY_ROWS
+        # (z' = 0, so W(t0, t0) = -i z'(t0) = 0) at t0 = t_990 of P = 1000,
+        # which lies in the last, partial block of rows (975..999 with
+        # blocks of 65 rows)
+        P, j = 1000, 990
+        rows = reparam_solver._block_rows(P)
         assert P % rows and j >= P - P % rows
         t0 = 2 * np.pi * j / P
         curve = FourierCurve((1, 2), (1.0, -0.5 * np.exp(-1j * t0)))
