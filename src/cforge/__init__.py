@@ -39,8 +39,6 @@ from .reparam_solver import (
     PolynomialMap,
     ReparamSolution,
     assemble_system,
-    conjugate_periodic,
-    invert_theta,
     kernel_K,
     kernel_L,
     load_polynomial_map,
@@ -64,11 +62,10 @@ __all__ = [
     "render_polar_net", "univalence_check", "ComposedMap", "PipelineConfig",
     "PlaneTransform", "corner_map", "evaluate_composed",
     "measure_corner_angle", "slender_map", "smooth_map", "BlockSystem",
-    "PolynomialMap", "ReparamSolution", "assemble_system",
-    "conjugate_periodic", "invert_theta", "kernel_K", "kernel_L",
-    "load_polynomial_map", "save_polynomial_map", "solve_reparam",
-    "taylor_coeffs", "CFApproximant", "RationalMap", "cf_rational_form",
-    "rate_estimate", "root_cf", "sqrt_cf",
+    "PolynomialMap", "ReparamSolution", "assemble_system", "kernel_K",
+    "kernel_L", "load_polynomial_map", "save_polynomial_map",
+    "solve_reparam", "taylor_coeffs", "CFApproximant", "RationalMap",
+    "cf_rational_form", "rate_estimate", "root_cf", "sqrt_cf",
 ]
 
 __version__ = "0.1.0"

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .fourier_boundary import (
     FourierCurve,
+    curvature,
     derivative_curve,
     eval_curve,
     fit_from_samples,
@@ -204,9 +205,9 @@ class PipelineConfig:
     (``{"a": point or None}``) may be set (both empty means the smooth
     pipeline); malformed blocks raise :class:`InputError`.  ``boundary`` is
     a FourierCurve; ``samples`` may be given instead (uniform parameters,
-    used directly by the corner pipeline and fitted at ``refit_degree``
-    elsewhere).  Resolution defaults follow the command-line tool: M=64,
-    P=8M, D=4M, n_iter=8.
+    used directly by the corner pipeline and fitted at ``refit_degree``,
+    within ``refit_tol``, elsewhere).  Resolution defaults follow the
+    command-line tool: M=64, P=8M, D=4M, n_iter=8.
     """
 
     boundary: FourierCurve | None = None
@@ -448,32 +449,34 @@ def _boundary_samples(cfg: PipelineConfig) -> np.ndarray:
     return eval_curve(cfg.boundary, t)
 
 
-def _fit(samples: np.ndarray, degree: int) -> FourierCurve:
-    """Fit of support ``[-degree, degree]``, cut on each side past the last
-    coefficient above ``REFIT_FLOOR * max |samples|``: the solve then runs
-    at the curve's true support, not at its round-off tail."""
-    curve = fit_from_samples(samples, degree, degree)
+def _refit(cfg: PipelineConfig, samples=None, label: str = "sampled boundary"):
+    """``(curve, resid)``: the curve to solve and its sup refit residual.
+
+    Without ``samples`` these are ``cfg``'s own boundary: a given curve as
+    it is (``resid`` None), sample input refitted.  A refit has support
+    ``[-refit_degree, refit_degree]``, cut on each side past the last
+    coefficient above ``REFIT_FLOOR * max |samples|`` so that the solve runs
+    at the curve's true support, not at its round-off tail.  A residual
+    above ``refit_tol`` of the samples' radius raises
+    :class:`RefitQualityError`.
+    """
+    if samples is None:
+        if cfg.boundary is not None:
+            return cfg.boundary, None
+        samples = cfg.samples
+    degree = cfg.refit_degree
+    fit = fit_from_samples(samples, degree, degree)
     floor = REFIT_FLOOR * float(np.max(np.abs(samples)))
-    above = [k for k, c in zip(curve.ks, curve.cs) if k == 0 or abs(c) > floor]
+    above = [k for k, c in zip(fit.ks, fit.cs) if k == 0 or abs(c) > floor]
     keep = slice(min(above) + degree, max(above) + degree + 1)
-    return FourierCurve(curve.ks[keep], curve.cs[keep])
-
-
-def _boundary_curve(cfg: PipelineConfig) -> FourierCurve:
-    if cfg.boundary is not None:
-        return cfg.boundary
-    return _fit(cfg.samples, cfg.refit_degree)
-
-
-def _refit(samples: np.ndarray, degree: int, tol_scale: float, label: str):
-    curve = _fit(samples, degree)
+    curve = FourierCurve(fit.ks[keep], fit.cs[keep])
     t = 2.0 * np.pi * np.arange(len(samples)) / len(samples)
     resid = float(np.max(np.abs(eval_curve(curve, t) - samples)))
     diam = float(np.max(np.abs(samples - samples.mean())))
-    if resid > tol_scale * max(diam, 1e-30):
+    if resid > cfg.refit_tol * max(diam, 1e-30):
         raise RefitQualityError(
             f"{label} refit at degree {degree} deviates by {resid:.3e} "
-            f"(tolerance {tol_scale:.1e} of scale {diam:.3e}); "
+            f"(tolerance {cfg.refit_tol:.1e} of scale {diam:.3e}); "
             "raise refit_degree"
         )
     return curve, resid
@@ -532,7 +535,7 @@ def smooth_map(cfg: PipelineConfig) -> ComposedMap:
     """
     if cfg.corner is not None or cfg.slender is not None:
         raise InputError("smooth_map config must not declare corner/slender")
-    curve = _boundary_curve(cfg)
+    curve, resid = _refit(cfg)
     samples = _boundary_samples(cfg)
     encloses = (
         np.min(np.abs(samples)) > 1e-9 * np.max(np.abs(samples))
@@ -542,7 +545,8 @@ def smooth_map(cfg: PipelineConfig) -> ComposedMap:
     sol, core = _solve_core(curve, centroid, cfg)
     stages = [PlaneTransform("affine", (1.0, centroid))] if centroid != 0 else []
     construction = [PlaneTransform("affine", (1.0, -centroid))]
-    return _composed("smooth", cfg, curve, construction, stages, sol, core)
+    refit = {} if resid is None else {"refit_deviation": resid}
+    return _composed("smooth", cfg, curve, construction, stages, sol, core, **refit)
 
 
 def corner_map(cfg: PipelineConfig) -> ComposedMap:
@@ -587,9 +591,7 @@ def corner_map(cfg: PipelineConfig) -> ComposedMap:
 
     straightened = np.zeros_like(w)
     straightened[body] = np.exp((N / k) * np.log(w[body]))
-    straight_curve, refit_resid = _refit(
-        straightened, cfg.refit_degree, cfg.refit_tol, "straightened boundary"
-    )
+    straight_curve, refit_resid = _refit(cfg, straightened, "straightened boundary")
     _, anchor = area_centroid(straightened)
     sol, core = _solve_core(straight_curve, anchor, cfg)
 
@@ -622,17 +624,14 @@ def _default_a(curve: FourierCurve, samples: np.ndarray) -> complex:
     """Outside point near the maximal-curvature boundary point.
 
     Offset is 2% of the domain diameter along the outward normal at the
-    curvature maximum.
+    curvature maximum.  A cusp on the grid has no normal, so there
+    :func:`curvature` raises :class:`InputError`.
     """
     S = len(samples)
     t_s = 2.0 * np.pi * np.arange(S) / S
-    d1 = eval_curve(derivative_curve(curve, 1), t_s)
-    d2 = eval_curve(derivative_curve(curve, 2), t_s)
-    speed = np.abs(d1)
-    kappa = (np.conj(d1) * d2).imag / np.maximum(speed, 1e-30) ** 3
-    j = int(np.argmax(kappa))
-    tangent = d1[j] / speed[j]
-    outward = -1j * tangent
+    j = int(np.argmax(curvature(curve, t_s)))
+    d1 = eval_curve(derivative_curve(curve, 1), t_s[j])
+    outward = -1j * (d1 / np.abs(d1))
     diameter = 2.0 * float(np.max(np.abs(samples - samples.mean())))
     return complex(samples[j] + 0.02 * diameter * outward)
 
@@ -655,7 +654,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     """
     if cfg.slender is None:
         raise InputError("slender_map needs a slender declaration")
-    curve = _boundary_curve(cfg)
+    curve, sample_resid = _refit(cfg)
     samples = _boundary_samples(cfg)
     a = cfg.slender["a"]
     if a is None:
@@ -677,9 +676,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
         )
     squared = shifted**2
     _check_simple(squared, "squared boundary")
-    squared_curve, refit_resid = _refit(
-        squared, cfg.refit_degree, cfg.refit_tol, "squared boundary"
-    )
+    squared_curve, refit_resid = _refit(cfg, squared, "squared boundary")
 
     base_anchor = ((curve.coeff(0) - a) / direction) ** 2
     _, u_centroid = area_centroid(squared)
@@ -740,9 +737,10 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
         "anchor": [chosen_anchor.real, chosen_anchor.imag],
         "anchor_search": search_log,
     }
+    refit = {} if sample_resid is None else {"boundary_refit_deviation": sample_resid}
     return _composed(
         "slender", cfg, squared_curve, construction, stages(chosen_anchor), sol, chosen,
-        slender=slender, refit_deviation=refit_resid,
+        slender=slender, refit_deviation=refit_resid, **refit,
     )
 
 

@@ -54,11 +54,9 @@ __all__ = [
     "PolynomialMap",
     "kernel_K",
     "kernel_L",
-    "conjugate_periodic",
     "assemble_system",
     "solve_reparam",
     "correspondence_inverse",
-    "invert_theta",
     "taylor_from_correspondence",
     "taylor_coeffs",
     "save_polynomial_map",
@@ -80,37 +78,13 @@ INVERSE_UPSAMPLE = 16
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """The truncated system ``[[AA, AB], [BA, BB]] x = [F; G]``.
-
-    The matrix is one ``2M x 2M`` array; the four blocks are views of it.
-    """
+    """The truncated ``2M x 2M`` system ``A x = [F; G]``: rows and columns
+    ``0..M-1`` belong to the cosine coefficients, ``M..2M-1`` to the sine
+    coefficients."""
 
     A: np.ndarray
     F: np.ndarray
     G: np.ndarray
-
-    @property
-    def M(self) -> int:
-        return self.A.shape[0] // 2
-
-    @property
-    def AA(self) -> np.ndarray:
-        return self.A[: self.M, : self.M]
-
-    @property
-    def AB(self) -> np.ndarray:
-        return self.A[: self.M, self.M :]
-
-    @property
-    def BA(self) -> np.ndarray:
-        return self.A[self.M :, : self.M]
-
-    @property
-    def BB(self) -> np.ndarray:
-        return self.A[self.M :, self.M :]
-
-    def matrix(self) -> np.ndarray:
-        return self.A
 
     def rhs(self) -> np.ndarray:
         return np.concatenate([self.F, self.G])
@@ -141,8 +115,8 @@ class ReparamSolution:
 
     def theta(self, t):
         """Trigonometric interpolant of ``theta`` at arbitrary parameters."""
-        ev, _ = periodic_interpolator(self.theta_grid - _grid(self.grid_size))
-        return np.asarray(t, dtype=float) + ev(t)
+        c = _half_spectrum(self.theta_grid - _grid(self.grid_size))
+        return np.asarray(t, dtype=float) + _series_at(c, t)
 
 
 @dataclass(frozen=True)
@@ -216,18 +190,6 @@ def _series_on_grid(c: np.ndarray, n: int) -> np.ndarray:
     """``Re sum_p c_p e^{ipt}`` at the ``n`` uniform nodes by one inverse
     real FFT.  Needs ``n > 2 max p``: a mode at ``n/2`` would count once."""
     return 0.5 * (np.fft.irfft(c, n, norm="forward") + c[0].real)
-
-
-def periodic_interpolator(values: np.ndarray):
-    """Spectral interpolant of periodic samples on the uniform grid.
-
-    Returns ``(ev, ev_prime)`` evaluating the trigonometric interpolant and
-    its derivative at arbitrary parameters (scalar or array), both from
-    one :func:`_half_spectrum`.
-    """
-    c = _half_spectrum(values)
-    dc = 1j * np.arange(len(c)) * c
-    return (lambda t: _series_at(c, t)), (lambda t: _series_at(dc, t))
 
 
 def _hankel(c: np.ndarray) -> np.ndarray:
@@ -361,20 +323,6 @@ def kernel_L(curve: FourierCurve, tau: float, t: float) -> float:
     return float(_kernel_value(curve, tau, t).real)
 
 
-def conjugate_periodic(a, b):
-    """Conjugate-function coefficients: ``cos pt -> sin pt``, ``sin pt -> -cos pt``.
-
-    ``a`` and ``b`` are the cosine and sine coefficients for ``p >= 1`` (any
-    constant term is handled by the caller; the conjugate of a constant is 0).
-    Returns the (cosine, sine) coefficient arrays of the conjugate.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise InputError("coefficient arrays must have equal length")
-    return -b.copy(), a.copy()
-
-
 def _assembly_peak_bytes(P: int, M: int, rank: int) -> int:
     """Upper bound on the peak memory of assembling and solving the system.
 
@@ -460,14 +408,14 @@ def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
         np.multiply(X.imag, w, out=A[j0 : j0 + step, M:])
     A[np.diag_indices(2 * M)] += 1.0
 
-    # right-hand side: conjugate of ln|z| plus the continuous-kernel part,
-    # from half spectra a - ib (modes 1..M, below the Nyquist mode)
+    # right-hand side: the continuous-kernel part minus the conjugate of
+    # ln|z| (that of a cos pt + b sin pt is a sin pt - b cos pt), from half
+    # spectra a - ib (modes 1..M, below the Nyquist mode)
     su = _half_spectrum(u)[1 : M + 1]
     rl = (2.0 / P) * ul  # (1/pi) int ln|z(tau)| L(tau, t) dtau at t_j
     sr = _half_spectrum(rl)[1 : M + 1]
-    conj_a, conj_b = conjugate_periodic(su.real, -su.imag)
-    F = -conj_a + sr.real
-    G = -conj_b - sr.imag
+    F = sr.real - su.imag
+    G = -(su.real + sr.imag)
     for block in (A, F, G):
         if not np.all(np.isfinite(block)):
             raise SolverError("non-finite entries in the projected system")
@@ -486,7 +434,7 @@ def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
     from scipy.linalg.lapack import dgecon
 
     system = assemble_system(curve, M, P)
-    A = system.matrix()
+    A = system.A
     lu, piv = lu_factor(A)
     rcond, _ = dgecon(lu, np.linalg.norm(A, 1), norm="1")
     cond = float(1.0 / rcond) if rcond > 0 else float("inf")
@@ -560,15 +508,6 @@ def correspondence_inverse(theta_grid: np.ndarray):
         return float(t[0]) if scalar else t
 
     return inverse
-
-
-def invert_theta(sol: ReparamSolution):
-    """Monotone inverse ``t(theta)`` of an accepted solution (callable)."""
-    if not sol.monotone:
-        raise NonMonotoneThetaError(
-            "cannot invert a rejected (non-monotone) correspondence"
-        )
-    return correspondence_inverse(sol.theta_grid)
 
 
 def taylor_from_correspondence(

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import io
 from .errors import DegreeOverflowError, DomainError, InputError
 from .fourier_boundary import horner
 
@@ -32,8 +31,6 @@ __all__ = [
     "root_cf",
     "rate_estimate",
     "cf_rational_form",
-    "save_rational_map",
-    "load_rational_map",
 ]
 
 # relative width of the rejection band around the branch cut (-inf, 0]
@@ -109,22 +106,14 @@ def _check_domain(z, domain):
 
 
 def sqrt_cf(z, n: int, domain: str = "half-plane"):
-    """n-th recursive approximant of ``sqrt(z)``.
+    """n-th recursive approximant of ``sqrt(z)``: the ``(k, N) = (1, 2)``
+    case of :func:`root_cf`.
 
     Starts from ``1 + (z-1)/(1+z)`` and applies
     ``f <- 1 + (z-1)/(1+f)`` a further ``n-1`` times.  Accepts scalars or
     arrays.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
-    z = np.asarray(z, dtype=complex)
-    _check_domain(z, domain)
-    f = 1.0 + (z - 1.0) / (1.0 + z)
-    for _ in range(n - 1):
-        f = 1.0 + (z - 1.0) / (1.0 + f)
-    if f.ndim == 0:
-        return complex(f)
-    return f
+    return root_cf(z, CFApproximant(1, 2, n), domain)
 
 
 def root_cf(z, approx: CFApproximant, domain: str = "half-plane"):
@@ -134,7 +123,9 @@ def root_cf(z, approx: CFApproximant, domain: str = "half-plane"):
     ``z-1`` by ``1 + sum_j s_j`` with ``s_j = r^j`` for ``j <= N//2`` and
     ``s_j = z / r^(N-j)`` above, then the output is ``r^k`` for
     ``k <= N//2`` and ``z / r^(N-k)`` otherwise.  For ``(k, N) = (1, 2)``
-    this reduces exactly to :func:`sqrt_cf`.
+    the step is ``r <- 1 + (z-1)/(1+r)``, the square-root recursion.  Only
+    ``N > 2`` divides by ``r``, so only then does ``|r| < DIVISION_GUARD``
+    raise :class:`DomainError`.
     """
     k, N, n = approx.k, approx.N, approx.n_iter
     z = np.asarray(z, dtype=complex)
@@ -142,19 +133,19 @@ def root_cf(z, approx: CFApproximant, domain: str = "half-plane"):
     h = N // 2
     r = 1.0 + (z - 1.0) / (z + 1.0)
     for _ in range(n - 1):
-        if np.any(np.abs(r) < DIVISION_GUARD):
+        if N > 2 and np.any(np.abs(r) < DIVISION_GUARD):
             raise DomainError("recursion hit a pole (|r| underflow)")
-        den = np.ones_like(z)
-        rp = np.ones_like(z)
-        for j in range(1, h + 1):
+        den = 1.0 + r
+        rp = r
+        for _j in range(2, h + 1):
             rp = rp * r
-            den = den + rp
-        inv = np.ones_like(z)
-        for j in range(N - 1, h, -1):
+            den += rp
+        inv = 1.0
+        for _j in range(h + 1, N):
             inv = inv * r  # builds r^(N-j) incrementally from j = N-1 down
-            den = den + z / inv
+            den += z / inv
         r = 1.0 + (z - 1.0) / den
-    if np.any(np.abs(r) < DIVISION_GUARD) and k > h:
+    if k > h and np.any(np.abs(r) < DIVISION_GUARD):
         raise DomainError("recursion hit a pole (|r| underflow)")
     out = r**k if k <= h else z / r ** (N - k)
     if out.ndim == 0:
@@ -274,30 +265,3 @@ def cf_rational_form(approx: CFApproximant) -> RationalMap:
             den = _pmul(den, p)
     return RationalMap(num=tuple(_trim(num)), den=tuple(_trim(den)))
 
-
-def save_rational_map(rmap: RationalMap, approx: CFApproximant, path: str) -> None:
-    """Write the normal form as JSON with its recursion parameters."""
-    payload = {
-        "num": [[c.real, c.imag] for c in rmap.num],
-        "den": [[c.real, c.imag] for c in rmap.den],
-        "k": approx.k,
-        "N": approx.N,
-        "n": approx.n_iter,
-    }
-    io.write_json(path, payload)
-
-
-def load_rational_map(path: str):
-    """Read :func:`save_rational_map` output; returns (RationalMap, CFApproximant)."""
-    payload = io.read_json(path, "rational map JSON")
-    try:
-        rmap = RationalMap(
-            num=tuple(complex(a, b) for a, b in payload["num"]),
-            den=tuple(complex(a, b) for a, b in payload["den"]),
-        )
-        approx = CFApproximant(
-            int(payload["k"]), int(payload["N"]), int(payload["n"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed rational map JSON {path}: {exc}") from exc
-    return rmap, approx

@@ -159,6 +159,29 @@ class TestMap:
         code = main(["map", "--config", str(cfg), "--out", str(tmp_path / "o2")])
         assert code == 5
 
+    @pytest.mark.parametrize("slender", [None, {}], ids=["smooth", "slender"])
+    def test_sampled_refit_failure_exit_5(self, tmp_path, capsys, slender):
+        # the centred k/N = 1/2 corner contour is no degree-4 curve
+        t = 2 * np.pi * np.arange(1024) / 1024
+        z = corner_contour(t, 1, 2)
+        z = z - z.mean()
+        cfg = circle_config(
+            tmp_path,
+            boundary={"samples": [[v.real, v.imag] for v in z]},
+            slender=slender,
+            refit_degree=4,
+        )
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o3")]) == 5
+        assert "sampled boundary refit at degree 4" in capsys.readouterr().err
+        assert not (tmp_path / "o3" / "manifest.json").exists()
+
+    def test_default_a_at_a_cusp_exit_2(self, tmp_path, capsys):
+        # the cardioid e^{it} + e^{2it}/2 has z'(pi) = 0 on the sample grid
+        coeffs = [{"k": 1, "re": 1.0, "im": 0.0}, {"k": 2, "re": 0.5, "im": 0.0}]
+        cfg = circle_config(tmp_path, boundary={"coeffs": coeffs}, slender={})
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o3")]) == 2
+        assert "cusp" in capsys.readouterr().err
+
     def test_oversized_grid_exit_2(self, tmp_path, monkeypatch):
         from cforge import reparam_solver
 

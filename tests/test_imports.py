@@ -1,13 +1,18 @@
-"""Cold start: scipy is imported only inside the functions that use it.
+"""Imports: every exported name exists, and scipy is imported only inside
+the functions that use it.
 
-Each check runs in a fresh interpreter, because this test process has
-long since imported scipy.  No timing is asserted.
+Each cold-start check runs in a fresh interpreter, because this test
+process has long since imported scipy.  No timing is asserted.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+
+import pytest
 
 import cforge
 from cforge.cli import main
@@ -31,6 +36,19 @@ def run_fresh(code, cwd):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+MODULES = ["cforge"] + [
+    f"cforge.{m.name}" for m in pkgutil.iter_modules(cforge.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    exports = getattr(module, "__all__", [])
+    assert len(set(exports)) == len(exports)
+    assert [e for e in exports if not hasattr(module, e)] == []
 
 
 def test_cli_import_report_and_render_load_no_scipy(tmp_path):

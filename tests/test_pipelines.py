@@ -21,6 +21,7 @@ from cforge.errors import (
     DomainError,
     InputError,
     PipelineError,
+    RefitQualityError,
     SectorViolationError,
     SelfIntersectionError,
 )
@@ -212,6 +213,15 @@ class TestSlender:
         )
         assert chosen[0]["sup_deviation"] == float(np.max(fresh))
 
+    def test_default_a_at_a_cusp_is_input_error(self):
+        # the cardioid e^{it} + e^{2it}/2 has z'(pi) = 0 at a grid node:
+        # its tangent there is round-off, so no outward normal exists
+        cfg = PipelineConfig(
+            boundary=FourierCurve((1, 2), (1.0, 0.5)), slender={"a": None}, M=16, D=16
+        )
+        with pytest.raises(InputError, match="cusp"):
+            slender_map(cfg)
+
     def test_a_inside_rejected(self):
         cfg = PipelineConfig(
             boundary=ellipse_curve(), slender={"a": 0.2 + 0.05j}, M=16, D=8
@@ -338,7 +348,8 @@ class TestRefitCut:
     def test_genuine_tail_is_kept(self):
         t = 2 * np.pi * np.arange(4096) / 4096
         tail = 1e-12 * (np.exp(9j * t) + np.exp(-11j * t))
-        curve = pipelines._fit(np.exp(1j * t) + 0.2 * np.exp(-1j * t) + tail, 24)
+        samples = np.exp(1j * t) + 0.2 * np.exp(-1j * t) + tail
+        curve, _ = pipelines._refit(PipelineConfig(samples=samples, refit_degree=24))
         assert (curve.n, curve.m) == (9, 11)
         assert abs(curve.coeff(9) - 1e-12) < 1e-15
         assert abs(curve.coeff(-11) - 1e-12) < 1e-15
@@ -356,6 +367,32 @@ class TestRefitCut:
         cfg = PipelineConfig(samples=samples, M=16, D=16)
         solver = smooth_map(cfg).provenance["solver"]
         assert (solver["n"], solver["m"]) == (1, 1)
+
+    @pytest.mark.parametrize("slender", [None, {"a": None}], ids=["smooth", "slender"])
+    def test_sampled_boundary_refit_is_checked(self, slender):
+        # the centred k/N = 1/2 corner contour is 0.264 away from its
+        # degree-4 fit, against a radius of 0.937
+        t = 2 * np.pi * np.arange(1024) / 1024
+        z = corner_contour(t, 1, 2)
+        cfg = PipelineConfig(
+            samples=z - z.mean(), slender=slender, refit_degree=4, M=16, D=16
+        )
+        build = smooth_map if slender is None else slender_map
+        with pytest.raises(RefitQualityError, match="sampled boundary refit"):
+            build(cfg)
+
+    def test_sampled_boundary_records_its_refit(self):
+        t = 2 * np.pi * np.arange(1024) / 1024
+        samples = 0.625 * np.exp(1j * t) + 0.375 * np.exp(-1j * t)
+        size = dict(M=32, P=256, D=64, n_iter=20)
+        smooth = smooth_map(PipelineConfig(samples=samples, **size)).provenance
+        assert smooth["refit_deviation"] < 1e-14
+        cfg = PipelineConfig(samples=samples, slender={"a": None}, **size)
+        slender = slender_map(cfg).provenance
+        assert slender["boundary_refit_deviation"] < 1e-14
+        assert slender["refit_deviation"] < 1e-13  # the squared boundary's
+        given = smooth_map(PipelineConfig(boundary=ellipse_curve(), **size))
+        assert "refit_deviation" not in given.provenance
 
 
 # (n, m) of each backbone case's solved curve: the smooth curve as given,

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from cforge import (
     FourierCurve,
     assemble_system,
-    conjugate_periodic,
     eval_curve,
-    invert_theta,
     kernel_K,
     kernel_L,
     load_polynomial_map,
@@ -196,24 +194,6 @@ class TestAssemblyMemoryGuard:
             assemble_system(unit_circle, 8000, 32000)
 
 
-class TestConjugate:
-    def test_cos_to_sin(self):
-        a, b = conjugate_periodic([1.0, 0.0], [0.0, 0.0])
-        assert np.allclose(a, [0.0, 0.0]) and np.allclose(b, [1.0, 0.0])
-
-    def test_sin_to_minus_cos(self):
-        a, b = conjugate_periodic([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        assert np.allclose(a, [0.0, 0.0, -1.0]) and np.allclose(b, [0.0, 0.0, 0.0])
-
-    def test_involution_sign(self):
-        # conjugating twice negates (constant-free) input
-        a0 = np.array([0.3, -0.2])
-        b0 = np.array([0.1, 0.5])
-        a1, b1 = conjugate_periodic(a0, b0)
-        a2, b2 = conjugate_periodic(a1, b1)
-        assert np.allclose(a2, -a0) and np.allclose(b2, -b0)
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 64])
 def test_hankel_matches_scipy(n):
     from scipy.linalg import hankel
@@ -228,10 +208,8 @@ def test_hankel_matches_scipy(n):
 class TestAssemble:
     def test_unit_circle_blocks(self, unit_circle):
         sys_ = assemble_system(unit_circle, 8, 64)
-        assert np.allclose(sys_.AA, np.eye(8), atol=1e-12)
-        assert np.allclose(sys_.BB, np.eye(8), atol=1e-12)
-        assert np.allclose(sys_.AB, 0.0, atol=1e-12)
-        assert np.allclose(sys_.BA, 0.0, atol=1e-12)
+        assert sys_.A.shape == (16, 16)
+        assert np.allclose(sys_.A, np.eye(16), atol=1e-12)
         assert np.allclose(sys_.F, 0.0, atol=1e-12)
         assert np.allclose(sys_.G, 0.0, atol=1e-12)
 
@@ -239,11 +217,11 @@ class TestAssemble:
         sys_ = assemble_system(FourierCurve((1,), (2.0,)), 8, 64)
         assert np.allclose(sys_.F, 0.0, atol=1e-12)
         assert np.allclose(sys_.G, 0.0, atol=1e-12)
-        assert np.allclose(sys_.AA, np.eye(8), atol=1e-12)
+        assert np.allclose(sys_.A[:8, :8], np.eye(8), atol=1e-12)
 
     def test_condition_finite_and_residual(self, wavy_curve):
         sys_ = assemble_system(wavy_curve, 16, 128)
-        A = sys_.matrix()
+        A = sys_.A
         cond = np.linalg.cond(A)
         assert np.isfinite(cond)
         x = np.linalg.solve(A, sys_.rhs())
@@ -293,23 +271,10 @@ class TestStreamedAssembly:
     def test_matches_dense_projection(self, curve, M, P):
         matrix, rhs, rl = _dense_projection(curve, M, P)
         sys_ = assemble_system(curve, M, P)
-        assert np.max(np.abs(sys_.matrix() - matrix)) <= 1e-13 * np.max(np.abs(matrix))
+        assert np.max(np.abs(sys_.A - matrix)) <= 1e-13 * np.max(np.abs(matrix))
         # the right-hand side is a difference of terms as large as rl
         scale = max(np.max(np.abs(rhs)), np.max(np.abs(rl)))
         assert np.max(np.abs(sys_.rhs() - rhs)) <= 1e-13 * scale
-
-    def test_blocks_are_views_of_the_matrix(self, wavy_curve):
-        sys_ = assemble_system(wavy_curve, 16, 128)
-        A = sys_.matrix()
-        assert A.shape == (32, 32)
-        for block, rows, cols in [
-            (sys_.AA, slice(0, 16), slice(0, 16)),
-            (sys_.AB, slice(0, 16), slice(16, 32)),
-            (sys_.BA, slice(16, 32), slice(0, 16)),
-            (sys_.BB, slice(16, 32), slice(16, 32)),
-        ]:
-            assert np.shares_memory(block, A)
-            assert np.array_equal(block, A[rows, cols])
 
     def test_vanishing_quotient_in_last_partial_block(self):
         # the cardioid e^{it} + c e^{2it}, c = -e^{-i t0}/2, has a cusp
@@ -332,31 +297,34 @@ class TestStreamedAssembly:
         curve = _random_curve(np.arange(-8, 9), 11)
         first = assemble_system(curve, 64, 1000)
         again = assemble_system(curve, 64, 1000)
-        assert first.matrix().tobytes() == again.matrix().tobytes()
+        assert first.A.tobytes() == again.A.tobytes()
         assert first.rhs().tobytes() == again.rhs().tobytes()
 
 
 class TestPeriodicInterpolator:
+    """The interpolant ``_series_at(_half_spectrum(values), t)``."""
+
     @pytest.mark.parametrize("P", [5, 7, 8])
     def test_interpolates_nodes(self, P):
         # P // 2 is the top mode the grid resolves: (P-1)/2 for odd P,
         # the Nyquist mode for even P
         t = 2 * np.pi * np.arange(P) / P
         v = 0.3 + np.cos(2 * t) + 0.5 * np.cos(P // 2 * t + 0.4)
-        ev, _ = reparam_solver.periodic_interpolator(v)
-        assert np.max(np.abs(ev(t) - v)) < 1e-13
+        c = reparam_solver._half_spectrum(v)
+        assert np.max(np.abs(reparam_solver._series_at(c, t) - v)) < 1e-13
 
     @pytest.mark.parametrize("P", [5, 7, 9])
     def test_odd_grid_band_limited_off_nodes(self, P):
         k = (P - 1) // 2
         t = 2 * np.pi * np.arange(P) / P
         s = np.linspace(0.05, 2 * np.pi, 37)
-        ev, ev_prime = reparam_solver.periodic_interpolator(
-            np.cos(2 * t) + 0.5 * np.sin(k * t)
-        )
-        assert np.max(np.abs(ev(s) - np.cos(2 * s) - 0.5 * np.sin(k * s))) < 1e-13
+        c = reparam_solver._half_spectrum(np.cos(2 * t) + 0.5 * np.sin(k * t))
+        ev = reparam_solver._series_at(c, s)
+        assert np.max(np.abs(ev - np.cos(2 * s) - 0.5 * np.sin(k * s))) < 1e-13
+        # the derivative's half spectrum, as the correspondence inverse uses it
+        ev_prime = reparam_solver._series_at(1j * np.arange(len(c)) * c, s)
         d = -2 * np.sin(2 * s) + 0.5 * k * np.cos(k * s)
-        assert np.max(np.abs(ev_prime(s) - d)) < 1e-12
+        assert np.max(np.abs(ev_prime - d)) < 1e-12
 
 
 class TestHalfSpectrum:
@@ -454,15 +422,17 @@ class TestSolve:
 
 
 class TestInvertTheta:
+    """``correspondence_inverse`` of solved correspondences."""
+
     def test_identity(self, unit_circle):
-        inv = invert_theta(solve_reparam(unit_circle, 8, 64))
+        inv = correspondence_inverse(solve_reparam(unit_circle, 8, 64).theta_grid)
         for th in (0.0, 1.0, 4.5):
             assert inv(th) == pytest.approx(th, abs=1e-10)
 
     def test_planted_residual(self, rng):
         curve = planted_oracle_curve()
         sol = solve_reparam(curve, 64, 512)
-        inv = invert_theta(sol)
+        inv = correspondence_inverse(sol.theta_grid)
         thetas = rng.uniform(0, 2 * np.pi, 100)
         t = inv(thetas)
         resid = t + 0.3 * np.sin(t) + (sol.theta_grid[0] - 0.0) * 0 - thetas
@@ -472,16 +442,18 @@ class TestInvertTheta:
 
     def test_grid_node_roundtrip(self, quadratic_curve):
         sol = solve_reparam(quadratic_curve, 24, 192)
-        inv = invert_theta(sol)
+        inv = correspondence_inverse(sol.theta_grid)
         t = 2 * np.pi * np.arange(sol.grid_size) / sol.grid_size
         assert np.max(np.abs(inv(sol.theta_grid) - t)) < 1e-10
 
     def test_shift_by_full_turn(self, quadratic_curve, rng):
-        inv = invert_theta(solve_reparam(quadratic_curve, 16, 128))
+        inv = correspondence_inverse(solve_reparam(quadratic_curve, 16, 128).theta_grid)
         th = rng.uniform(0, 2 * np.pi, 16)
         assert np.allclose(inv(th + 2 * np.pi), inv(th) + 2 * np.pi, atol=1e-10)
 
-    def test_rejected_solution(self):
+    def test_rejected_solution(self, unit_circle):
+        # the correspondence inverse takes any grid; the guard against a
+        # rejected solve sits in the Taylor extraction
         from cforge.reparam_solver import ReparamSolution
 
         bad = ReparamSolution(
@@ -493,7 +465,7 @@ class TestInvertTheta:
             monotone=False,
         )
         with pytest.raises(NonMonotoneThetaError):
-            invert_theta(bad)
+            taylor_coeffs(unit_circle, bad, 4)
 
 
 class TestCorrespondenceInverse:

@@ -15,7 +15,9 @@ from cforge.errors import DegreeOverflowError, DomainError, InputError
 from cforge.suites import half_plane_samples, rate_test_points
 
 
-def exact_sqrt_cf(z: Fraction, n: int) -> Fraction:
+def exact_sqrt_cf(z, n: int):
+    """The square-root recursion written out: exact on Fractions, and in
+    numpy's complex arithmetic on arrays."""
     f = 1 + (z - 1) / (1 + z)
     for _ in range(n - 1):
         f = 1 + (z - 1) / (1 + f)
@@ -38,6 +40,19 @@ class TestSqrtValues:
         got = sqrt_cf(4.0, n)
         want = exact_sqrt_cf(Fraction(4), n)
         assert got == pytest.approx(float(want), abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 20])
+    def test_is_the_recursion_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        # slit-plane points over ten decades of |z|, plus one next to 0
+        z = np.exp(rng.uniform(-14, 9, 2000) + 1j * rng.uniform(-3.1, 3.1, 2000))
+        z = np.append(z, 1e-14)
+        assert np.array_equal(sqrt_cf(z, n, "slit"), exact_sqrt_cf(z, n))
+
+    def test_no_pole_guard_near_zero(self):
+        # the recursion never divides by f, so |f| ~ 4e-14 is no pole
+        assert sqrt_cf(1e-14, 3) == pytest.approx(4e-14, rel=1e-3)
+        assert root_cf(1e-14, CFApproximant(1, 2, 3)) == sqrt_cf(1e-14, 3)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -63,11 +78,17 @@ class TestRootValues:
             assert np.max(np.abs(h - z / g)) < 1e-12
 
     def test_reduces_to_sqrt(self):
+        # sqrt_cf is this very call, so compare with the recursion itself
         z = half_plane_samples(100, 5)
         for n in (1, 3, 7):
             assert np.max(
-                np.abs(root_cf(z, CFApproximant(1, 2, n)) - sqrt_cf(z, n))
+                np.abs(root_cf(z, CFApproximant(1, 2, n)) - exact_sqrt_cf(z, n))
             ) < 1e-12
+
+    def test_division_guard_above_N_2(self):
+        # N >= 3 divides by r, and |r| ~ 2e-14 sits on a pole
+        with pytest.raises(DomainError, match="pole"):
+            root_cf(1e-14, CFApproximant(1, 3, 3))
 
     def test_first_approximant_shared(self):
         # every (k=1, N) recursion starts from 1 + (z-1)/(z+1)
@@ -229,16 +250,3 @@ class TestRationalForm:
         with pytest.raises(DegreeOverflowError):
             cf_rational_form(CFApproximant(1, 3, 33))
 
-
-class TestPersistence:
-    def test_json_roundtrip(self, tmp_path):
-        from cforge.root_cf import load_rational_map, save_rational_map
-
-        approx = CFApproximant(2, 3, 4)
-        rmap = cf_rational_form(approx)
-        path = tmp_path / "root.json"
-        save_rational_map(rmap, approx, str(path))
-        again, params = load_rational_map(str(path))
-        assert params == approx
-        z = half_plane_samples(20, 23)
-        assert np.max(np.abs(again(z) - rmap(z))) < 1e-14
