@@ -14,14 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .fourier_boundary import FourierCurve, derivative_curve, eval_curve
-from .fourier_boundary import unwrap_closed
-from .pipelines import ComposedMap, evaluate_composed
+from .fourier_boundary import FourierCurve, derivative_curve, eval_curve, unwrap_closed
+from .pipelines import ComposedMap, evaluate_composed, measure_corner_angle
 from .reparam_solver import PolynomialMap
 
 __all__ = [
     "DeviationReport",
-    "boundary_distance",
     "boundary_distances",
     "boundary_deviation",
     "univalence_check",
@@ -43,13 +41,6 @@ class DeviationReport:
     def __post_init__(self):
         if self.sup_deviation + 1e-15 < self.mean_deviation:
             raise InputError("sup deviation cannot be below mean deviation")
-
-    def passed(self, tol: float) -> bool:
-        return (
-            self.sup_deviation <= tol
-            and self.univalence_winding == 0
-            and self.monotone_theta
-        )
 
 
 def _nearest_distance(target, grid: int):
@@ -108,8 +99,9 @@ def _nearest_distance(target, grid: int):
 
 
 def boundary_distances(target, grid: int = 256):
-    """Callable ``cmap -> boundary_distance(cmap, target, grid)`` that
-    prepares the target once for all the maps it measures."""
+    """Callable giving the distances of a composed map's images of ``grid``
+    unit-circle points from the target curve (a FourierCurve, or any 2
+    pi-periodic parametric callable), prepared once for every map."""
     if grid < 256:
         raise InputError("deviation grid must be at least 256")
     zeta = np.exp(2j * np.pi * np.arange(grid) / grid)
@@ -117,28 +109,18 @@ def boundary_distances(target, grid: int = 256):
     return lambda cmap: distance(evaluate_composed(cmap, zeta))
 
 
-def boundary_distance(cmap: ComposedMap, target, grid: int = 256) -> np.ndarray:
-    """Distance of the images of ``grid`` unit-circle points from the
-    target curve (a FourierCurve, or any 2 pi-periodic parametric callable).
-    """
-    return boundary_distances(target, grid)(cmap)
-
-
 def boundary_deviation(
     cmap: ComposedMap, target, grid: int = 256
 ) -> DeviationReport:
     """Distance of the image boundary from the target curve
-    (:func:`boundary_distance`), with the univalence winding check on the
+    (:func:`boundary_distances`), with the univalence winding check on the
     core and the solver diagnostics carried by the map.
     """
-    dist = boundary_distance(cmap, target, grid)
+    dist = boundary_distances(target, grid)(cmap)
     winding = univalence_check(cmap.core, max(8 * cmap.core.degree, 256))
     solver = cmap.provenance.get("solver", {})
-    corner = cmap.provenance.get("corner")
     angle = None
-    if corner is not None:
-        from .pipelines import measure_corner_angle
-
+    if cmap.provenance.get("corner") is not None:
         angle = measure_corner_angle(cmap)
     return DeviationReport(
         sup_deviation=float(np.max(dist)),
@@ -197,6 +179,8 @@ def render_polar_net(
     """
     if spokes < 1 or circles < 1:
         raise InputError("need at least one spoke and one circle")
+    if samples < 2:
+        raise InputError(f"need at least 2 samples per curve, got {samples}")
     paths = []
     all_pts = []
 

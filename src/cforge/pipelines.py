@@ -7,12 +7,12 @@ extracts the polynomial Taylor core, and :func:`_composed` stamps the
 result with its provenance:
 
 * :func:`smooth_map` handles smooth boundaries directly;
-* :func:`corner_map` straightens one declared corner of opening ``k pi/N``
-  with the power ``z^(N/k)``, solves on the straightened domain, and folds
-  back with the recursive ``z^(k/N)`` approximant;
-* :func:`slender_map` widens a thin domain with ``(z-a)^2`` around an
-  outside point ``a``, solves on the squared domain, and returns with the
-  recursive square-root approximant.
+* :func:`corner_map` and :func:`slender_map` turn the domain seen from a
+  pivot onto its centroid direction, check it lies in ``|arg| <= opening``
+  and straighten it with ``z^(N/k)`` (:func:`_straighten`), then solve and
+  fold back with the ``z^(k/N)`` approximant (:func:`_fold`): the corner
+  about its corner of angle ``k pi/N`` with opening ``k pi/(2N)``, the
+  slender map as the ``(1, 2)`` case about an outside ``a``, opening ``pi/2``.
 
 The result is a :class:`ComposedMap`: a polynomial core evaluated on the
 unit disk followed by an ordered list of plane transforms.  Every stage of
@@ -23,7 +23,7 @@ reproduced bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from numbers import Number
+from numbers import Number, Real
 
 import numpy as np
 
@@ -112,9 +112,7 @@ class PlaneTransform:
             if params[0] == 0:
                 raise InputError("degenerate affine stage (a = 0)")
         else:
-            params = tuple(int(v) for v in self.params)
-            if params != tuple(self.params):
-                raise InputError(f"{self.kind} parameters must be integers")
+            params = tuple(_integer(v, f"{self.kind} parameter") for v in self.params)
             if self.kind == "power" and params[1] == 0:
                 raise InputError("degenerate power stage (k = 0)")
             if self.kind == "cf_root":
@@ -148,9 +146,7 @@ class PlaneTransform:
     def from_dict(desc: dict) -> "PlaneTransform":
         """Inverse of :meth:`describe`; a missing parameter raises KeyError."""
         kind = desc["kind"]
-        if kind not in STAGE_FIELDS:
-            raise InputError(f"unknown transform kind {kind!r}")
-        params = tuple(desc[name] for name in STAGE_FIELDS[kind])
+        params = tuple(desc[name] for name in STAGE_FIELDS.get(kind, ()))
         if kind == "affine":
             params = tuple(complex(*v) for v in params)
         return PlaneTransform(kind, params)
@@ -197,6 +193,14 @@ def _point(value, what: str) -> complex:
     return complex(value)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; booleans, non-numbers and fractions are bad input."""
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    if not (real and abs(value) < np.inf and int(value) == value):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Inputs of one pipeline run.
@@ -206,8 +210,9 @@ class PipelineConfig:
     pipeline); malformed blocks raise :class:`InputError`.  ``boundary`` is
     a FourierCurve; ``samples`` may be given instead (uniform parameters,
     used directly by the corner pipeline and fitted at ``refit_degree``,
-    within ``refit_tol``, elsewhere).  Resolution defaults follow the
-    command-line tool: M=64, P=8M, D=4M, n_iter=8.
+    within ``refit_tol`` > 0, elsewhere).  Resolution defaults follow the
+    command-line tool: M=64, P=8M, D=4M, n_iter=8.  Integer fields, corner
+    ``k`` and ``N`` too, must hold integral numbers and are stored as ints.
     """
 
     boundary: FourierCurve | None = None
@@ -228,24 +233,32 @@ class PipelineConfig:
             raise InputError("config needs a boundary curve or samples")
         if self.corner is not None and self.slender is not None:
             raise InputError("corner and slender are mutually exclusive")
+        object.__setattr__(self, "M", _integer(self.M, "M"))
         if self.P is None:
             object.__setattr__(self, "P", 8 * self.M)
         if self.D is None:
             object.__setattr__(self, "D", 4 * self.M)
+        for key in ("P", "D", "n_iter", "refit_degree", "sample_grid"):
+            object.__setattr__(self, key, _integer(getattr(self, key), key))
         if self.sample_grid <= 0:
             raise InputError(f"sample_grid must be positive, got {self.sample_grid}")
+        tol = self.refit_tol
+        if not (isinstance(tol, Real) and not isinstance(tol, bool) and 0 < tol < np.inf):
+            raise InputError(f"refit_tol must be finite and positive, got {tol!r}")
+        object.__setattr__(self, "refit_tol", float(tol))
         if self.anchor is not None:
             object.__setattr__(self, "anchor", _point(self.anchor, "anchor"))
         if self.corner is not None:
             try:
                 t0, k, N = (self.corner[key] for key in ("t0", "k", "N"))
-                corner = {"t0": float(t0), "k": int(k), "N": int(N)}
+                corner = {"t0": float(t0), "k": _integer(k, "k"), "N": _integer(N, "N")}
             except KeyError as exc:
                 raise InputError(f"corner is missing the key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"malformed corner {self.corner!r}: {exc}") from exc
-            if (corner["k"], corner["N"]) != (k, N):
-                raise InputError(f"corner k and N must be integers: {self.corner!r}")
+            except (InputError, TypeError, ValueError) as exc:
+                raise InputError(
+                    f"malformed corner {self.corner!r}: t0 must be a number "
+                    "and corner k and N must be integers"
+                ) from exc
             object.__setattr__(self, "corner", corner)
         if self.slender is not None:
             if not isinstance(self.slender, dict) or set(self.slender) - {"a"}:
@@ -315,12 +328,8 @@ class PipelineConfig:
             if not (isinstance(anchor, list) and len(anchor) == 2):
                 raise InputError(f"anchor must be null or [re, im], got {anchor!r}")
             anchor = complex(*anchor)
-        kwargs = {}
-        for key in ("M", "P", "D", "n_iter", "refit_degree", "sample_grid"):
-            if payload.get(key) is not None:
-                kwargs[key] = int(payload[key])
-        if payload.get("refit_tol") is not None:
-            kwargs["refit_tol"] = float(payload["refit_tol"])
+        keys = ("M", "P", "D", "n_iter", "refit_degree", "refit_tol", "sample_grid")
+        kwargs = {key: payload[key] for key in keys if payload.get(key) is not None}
         return PipelineConfig(
             boundary=curve,
             samples=samples,
@@ -488,6 +497,43 @@ def _translate(curve: FourierCurve, offset: complex) -> FourierCurve:
     return FourierCurve.from_coeffs(coeffs)
 
 
+def _straighten(samples: np.ndarray, pivot: complex, k: int, N: int, opening: float):
+    """``(direction, straightened)``: the samples seen from ``pivot``,
+    turned so their area centroid lies on the positive axis and raised to
+    ``N/k``.  A sample outside ``|arg| <= opening`` and farther from
+    ``pivot`` than ``CORNER_EXCLUSION`` times the largest distance raises
+    :class:`SectorViolationError`."""
+    shifted = samples - pivot
+    _, centroid = area_centroid(shifted)
+    direction = np.exp(1j * np.angle(centroid))
+    w = shifted / direction
+    body = np.abs(w) > CORNER_EXCLUSION * float(np.max(np.abs(w)))
+    spread = float(np.max(np.abs(np.angle(w[body]))))
+    if spread > opening + SECTOR_MARGIN:
+        raise SectorViolationError(
+            f"domain seen from {pivot} leaves the sector |arg| <= {opening:.6f} "
+            f"by {spread - opening:.3e} rad after normalization"
+        )
+    return direction, PlaneTransform("power", (N, k))(w)
+
+
+def _fold(cfg: PipelineConfig, k: int, N: int, pivot, direction, anchor):
+    """``(construction, stages)``: domain to solved curve for
+    :func:`_straighten` and a solve anchored at ``anchor``, and back."""
+    construction = (
+        PlaneTransform("affine", (1.0, -pivot)),
+        PlaneTransform("affine", (1.0 / direction, 0.0)),
+        PlaneTransform("power", (N, k)),
+        PlaneTransform("affine", (1.0, -anchor)),
+    )
+    stages = (
+        PlaneTransform("affine", (1.0, anchor)),
+        PlaneTransform("cf_root", (k, N, cfg.n_iter)),
+        PlaneTransform("affine", (direction, pivot)),
+    )
+    return construction, stages
+
+
 def _solve_core(curve: FourierCurve, anchor: complex, cfg: PipelineConfig):
     """``(sol, core)``: the reparametrization solve of ``curve`` with
     ``anchor`` moved to the origin, and its Taylor core."""
@@ -553,11 +599,10 @@ def corner_map(cfg: PipelineConfig) -> ComposedMap:
     """Fraction-polynomial map onto a domain with one corner of opening
     ``k pi / N`` at boundary parameter ``t0``.
 
-    The corner is translated to the origin and the domain rotated onto the
-    symmetric sector ``|arg| <= k pi/(2N)`` (rotation from the centroid
-    direction).  The power ``N/k`` straightens the corner; the straightened
-    samples are refitted, solved, and the map is folded back with the
-    ``z^(k/N)`` approximant and the inverse of the initial affine stage.
+    The domain is straightened about the corner in the sector
+    ``|arg| <= k pi/(2N)`` (:func:`_straighten`); the straightened samples
+    are refitted and solved about their area centroid, and the map is
+    folded back with the ``z^(k/N)`` approximant (:func:`_fold`).
     """
     if cfg.corner is None:
         raise InputError("corner_map needs a corner declaration")
@@ -574,44 +619,17 @@ def corner_map(cfg: PipelineConfig) -> ComposedMap:
             raise InputError("corner t0 must coincide with a sample node")
         z0 = complex(samples[j % S])
 
-    shifted = samples - z0
-    _, centroid = area_centroid(shifted)
-    rho = -float(np.angle(centroid))
-    w = np.exp(1j * rho) * shifted
-
-    scale = float(np.max(np.abs(w)))
-    opening = k * np.pi / (2.0 * N)
-    body = np.abs(w) > CORNER_EXCLUSION * scale
-    args = np.angle(w[body])
-    if np.max(np.abs(args)) > opening + SECTOR_MARGIN:
-        raise SectorViolationError(
-            f"domain leaves the sector |arg| <= {opening:.6f} by "
-            f"{np.max(np.abs(args)) - opening:.3e} rad after normalization"
-        )
-
-    straightened = np.zeros_like(w)
-    straightened[body] = np.exp((N / k) * np.log(w[body]))
+    direction, straightened = _straighten(samples, z0, k, N, k * np.pi / (2.0 * N))
     straight_curve, refit_resid = _refit(cfg, straightened, "straightened boundary")
     _, anchor = area_centroid(straightened)
     sol, core = _solve_core(straight_curve, anchor, cfg)
-
-    stages = (
-        PlaneTransform("affine", (1.0, anchor)),
-        PlaneTransform("cf_root", (k, N, cfg.n_iter)),
-        PlaneTransform("affine", (np.exp(-1j * rho), z0)),
-    )
-    construction = (
-        PlaneTransform("affine", (1.0, -z0)),
-        PlaneTransform("affine", (np.exp(1j * rho), 0.0)),
-        PlaneTransform("power", (N, k)),
-        PlaneTransform("affine", (1.0, -anchor)),
-    )
+    construction, stages = _fold(cfg, k, N, z0, direction, anchor)
     corner = {
         "t0": t0,
         "k": k,
         "N": N,
         "position": [z0.real, z0.imag],
-        "rotation": rho,
+        "rotation": -float(np.angle(direction)),
         "theta_corner": float(sol.theta(t0)),
     }
     return _composed(
@@ -640,9 +658,10 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     """Fraction-polynomial map onto a slender domain.
 
     The domain is widened by ``(z-a)^2`` about the configured outside point
-    ``a`` (default: 2% of the diameter beyond the maximal-curvature point),
-    solved in squared coordinates, and folded back through the recursive
-    square-root approximant.
+    ``a`` (default: 2% of the diameter beyond the maximal-curvature point):
+    the ``(k, N) = (1, 2)`` straightening of :func:`_straighten` in the
+    half-plane seen from ``a``.  It is solved in squared coordinates and
+    folded back through the recursive square-root approximant (:func:`_fold`).
 
     The interior point sent to the disk centre ("anchor") is a free
     normalization of the squared-domain solve.  Because re-anchoring is a
@@ -665,29 +684,13 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
             f"expansion point a = {a} must lie outside the domain "
             "(boundary winding about it is nonzero)"
         )
-    _, s_centroid = area_centroid(samples)
-    direction = np.exp(1j * np.angle(s_centroid - a))  # a -> domain
-    shifted = (samples - a) / direction
-    scale = float(np.max(np.abs(shifted)))
-    if np.min(shifted.real) < -SECTOR_MARGIN * scale:
-        raise SectorViolationError(
-            "domain seen from a leaves the half-plane; the squared "
-            "boundary would overlap itself"
-        )
-    squared = shifted**2
+    direction, squared = _straighten(samples, a, 1, 2, np.pi / 2)
     _check_simple(squared, "squared boundary")
     squared_curve, refit_resid = _refit(cfg, squared, "squared boundary")
 
-    base_anchor = ((curve.coeff(0) - a) / direction) ** 2
+    base_anchor = PlaneTransform("power", (2, 1))((curve.coeff(0) - a) / direction)
     _, u_centroid = area_centroid(squared)
     sol, base_core = _solve_core(squared_curve, base_anchor, cfg)
-
-    def stages(anchor: complex) -> tuple:
-        return (
-            PlaneTransform("affine", (1.0, anchor)),
-            PlaneTransform("cf_root", (1, 2, cfg.n_iter)),
-            PlaneTransform("affine", (direction, a)),
-        )
 
     def core_at(anchor: complex) -> PolynomialMap:
         # every candidate re-anchors the one solve through the base core
@@ -710,8 +713,9 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
             core = core_at(anchor)
             entry = {"frac": frac, "anchor": [anchor.real, anchor.imag]}
             search_log.append(entry)
+            _, stages = _fold(cfg, 1, 2, a, direction, anchor)
             try:
-                dist = distance(ComposedMap(stages(anchor), core))
+                dist = distance(ComposedMap(stages, core))
             except DomainError as exc:
                 # candidate's boundary image grazes the root-approximant cut
                 entry["rejected"] = str(exc)
@@ -726,11 +730,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
             )
         _, chosen_anchor, chosen = best
 
-    construction = (
-        PlaneTransform("affine", (1.0 / direction, -a / direction)),
-        PlaneTransform("power", (2, 1)),
-        PlaneTransform("affine", (1.0, -chosen_anchor)),
-    )
+    construction, stages = _fold(cfg, 1, 2, a, direction, chosen_anchor)
     slender = {
         "a": [a.real, a.imag],
         "direction": [direction.real, direction.imag],
@@ -739,7 +739,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     }
     refit = {} if sample_resid is None else {"boundary_refit_deviation": sample_resid}
     return _composed(
-        "slender", cfg, squared_curve, construction, stages(chosen_anchor), sol, chosen,
+        "slender", cfg, squared_curve, construction, stages, sol, chosen,
         slender=slender, refit_deviation=refit_resid, **refit,
     )
 

@@ -400,3 +400,43 @@ def test_render_bad_stage_exit_2(tmp_path, capsys, case):
     ) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "n.svg").exists()
+
+
+MALFORMED_INPUTS = {
+    "M-fraction": {"M": 16.9},
+    "M-string": {"M": "16"},
+    "M-bool": {"M": True},
+    "P-fraction": {"P": 128.5},
+    "D-string": {"D": "8"},
+    "n_iter-fraction": {"n_iter": 2.5},
+    "refit_degree-fraction": {"refit_degree": 24.5},
+    "sample_grid-fraction": {"sample_grid": 4096.5},
+    "refit_tol-nan": {"refit_tol": float("nan")},
+    "refit_tol-infinite": {"refit_tol": float("inf")},
+    "refit_tol-zero": {"refit_tol": 0.0},
+    "refit_tol-negative": {"refit_tol": -1e-3},
+    "render-samples-negative": ["--samples", "-3"],
+    "render-samples-zero": ["--samples", "0"],
+    "render-samples-one": ["--samples", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exit_2(tmp_path, capsys, case):
+    bad = MALFORMED_INPUTS[case]
+    if isinstance(bad, dict):
+        # Python's json writes and reads NaN and Infinity
+        argv = ["map", "--config", circle_config(tmp_path, **bad),
+                "--out", str(tmp_path / "o")]
+    else:
+        run = tmp_path / "run"
+        assert main(["map", "--config", circle_config(tmp_path), "--out", str(run)]) == 0
+        argv = ["render", "--manifest", str(run / "manifest.json"),
+                "--out", str(tmp_path / "n.svg"), *bad]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert not (tmp_path / "n.svg").exists()

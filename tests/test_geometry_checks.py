@@ -203,6 +203,10 @@ class TestRenderer:
     def test_validation(self):
         with pytest.raises(InputError):
             render_polar_net(identity_map(), spokes=0, circles=4)
+        for samples in (-3, 0, 1):
+            with pytest.raises(InputError, match="at least 2 samples"):
+                render_polar_net(identity_map(), samples=samples)
+        assert "<polyline" in render_polar_net(identity_map(), samples=2)
 
 
 FIGURES = Path(__file__).parent / "data" / "figures"

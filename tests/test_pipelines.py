@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from cforge.errors import (
     SectorViolationError,
     SelfIntersectionError,
 )
-from cforge import pipelines
+from cforge import geometry_checks, pipelines
+from cforge.fourier_boundary import eval_curve
 from cforge.pipelines import _check_simple, area_centroid, winding_number
 from cforge.suites import planted_oracle_curve
 
@@ -189,8 +191,6 @@ class TestSlender:
         assert np.max(np.abs(evaluate_composed(cm, zeta) - zeta)) < 1e-4
 
     def test_anchor_search_prepares_the_target_once(self, monkeypatch):
-        from cforge import geometry_checks
-
         grids = []
         build = geometry_checks._nearest_distance
 
@@ -208,9 +208,9 @@ class TestSlender:
         assert grids == [pipelines.ANCHOR_SEARCH_GRID]
         # the chosen candidate's score is its distance measured afresh
         chosen = [e for e in log if e["anchor"] == cm.provenance["slender"]["anchor"]]
-        fresh = geometry_checks.boundary_distance(
-            cm, ellipse_curve(), pipelines.ANCHOR_SEARCH_GRID
-        )
+        fresh = geometry_checks.boundary_distances(
+            ellipse_curve(), pipelines.ANCHOR_SEARCH_GRID
+        )(cm)
         assert chosen[0]["sup_deviation"] == float(np.max(fresh))
 
     def test_default_a_at_a_cusp_is_input_error(self):
@@ -448,6 +448,43 @@ class TestBackbone:
         assert (cm.core.solver_M, cm.core.solver_P) == (cfg.M, cfg.P)
 
 
+SPIN, SHIFT = np.exp(0.6j), 2.0 - 1.0j
+
+
+class TestConstruction:
+    """The recorded construction is the computation: boundary samples
+    mapped through ``provenance["construction"]`` land on the boundary image
+    of the core.  Both domains are turned by SPIN and moved by SHIFT, so a
+    wrongly recorded pivot or direction throws the samples off by O(1)."""
+
+    # measured sup distances: corner 1.08e-3, slender 0.100 (the Taylor
+    # core's truncation error at the slender tip); each bound is about 10x
+    @pytest.mark.parametrize("kind, bound", [("corner", 1e-2), ("slender", 1.0)])
+    def test_samples_land_on_the_core_image(self, kind, bound):
+        if kind == "corner":
+            cfg = fold_config(1, 2, 11, D=200)
+            cfg = replace(cfg, samples=SPIN * cfg.samples + SHIFT)
+            cm, z = corner_map(cfg), cfg.samples
+        else:
+            curve = ellipse_curve()
+            moved = FourierCurve.from_coeffs(
+                {0: SHIFT, **{k: SPIN * c for k, c in curve.coeffs.items()}}
+            )
+            cfg = PipelineConfig(
+                boundary=moved, slender={"a": None}, M=300, P=2400, D=1000, n_iter=20
+            )
+            cm = slender_map(cfg)
+            z = eval_curve(moved, 2 * np.pi * np.arange(4096) / 4096)
+        construction = cm.provenance["construction"]
+        assert [d["kind"] for d in construction] == ["affine", "affine", "power", "affine"]
+        for desc in construction:
+            z = PlaneTransform.from_dict(desc)(z)
+        c = cm.core.coeffs
+        image = FourierCurve(tuple(range(len(c))), tuple(c))
+        dist = geometry_checks._nearest_distance(image, len(z))(z)
+        assert np.max(dist) < bound
+
+
 class TestEvaluate:
     def test_outside_disk_rejected(self, unit_circle):
         cm = smooth_map(PipelineConfig(boundary=unit_circle, M=8, P=64, D=4))
@@ -530,6 +567,35 @@ class TestConfigJson:
     def test_python_blocks_checked(self, block, match):
         with pytest.raises(InputError, match=match):
             PipelineConfig(boundary=ellipse_curve(), **block)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("M", 16.9),
+            ("M", "4"),
+            ("M", True),
+            ("P", 128.5),
+            ("D", np.nan),
+            ("n_iter", 2.5),
+            ("refit_degree", 1j),
+            ("sample_grid", np.inf),
+        ],
+    )
+    def test_integer_fields_must_be_integral(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            PipelineConfig(boundary=ellipse_curve(), **{field: value})
+
+    def test_integral_numbers_are_stored_as_ints(self):
+        cfg = PipelineConfig(
+            boundary=ellipse_curve(), M=np.int64(16), D=8.0, n_iter=np.float64(4)
+        )
+        assert (cfg.M, cfg.P, cfg.D, cfg.n_iter) == (16, 128, 8, 4)
+        assert all(type(v) is int for v in (cfg.M, cfg.P, cfg.D, cfg.n_iter))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-3, "1e-3", True])
+    def test_refit_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InputError, match="refit_tol must be finite and positive"):
+            PipelineConfig(boundary=ellipse_curve(), refit_tol=tol)
 
     def test_python_blocks_normalized(self):
         curve = ellipse_curve()
