@@ -10,6 +10,7 @@ SVG), ``report`` (manifest summary).  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -210,7 +211,9 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cforge",
         description="polynomial and fraction-polynomial conformal maps "

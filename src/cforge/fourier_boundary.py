@@ -185,15 +185,20 @@ def horner(coeffs, z):
     ``O((A + B) u)`` (``u`` the unit roundoff), against ``O(n u)`` for
     plain Horner, so ``|error| = O((A + B) u sum_k |c_k| |z|^k)``.
 
-    The result is complex and shaped like ``z``: a numpy scalar for a
-    Python scalar or a 0-d array, an array of ``z``'s shape otherwise,
-    zeros when ``coeffs`` is empty.
+    A 2-D ``coeffs`` holds one polynomial per row: all rows share the power
+    table and the matrix product, and the result gains a leading axis, one
+    entry per row.  Otherwise the result is complex and shaped like ``z``:
+    a numpy scalar for a Python scalar or a 0-d array, an array of ``z``'s
+    shape otherwise, zeros when ``coeffs`` is empty.
     """
-    c = np.asarray(coeffs, dtype=complex).ravel()
+    c = np.asarray(coeffs, dtype=complex)
+    lead = c.shape[:1] if c.ndim == 2 else ()
+    if not lead:
+        c = c.reshape(1, -1)
     z = np.asarray(z, dtype=complex)
-    n = len(c)
+    n = c.shape[1]
     if n == 0:
-        return np.zeros_like(z)[()]
+        return np.zeros(lead + z.shape, dtype=complex)[()]
     B = math.isqrt(n - 1) + 1
     A = -(-n // B)
     x = z.reshape(-1)
@@ -201,16 +206,16 @@ def horner(coeffs, z):
     W[0] = 1.0
     for b in range(1, B):
         np.multiply(W[b - 1], x, out=W[b])
-    C = np.zeros(A * B, dtype=complex)
-    C[:n] = c
-    S = C.reshape(A, B) @ W
+    C = np.zeros((len(c), A * B), dtype=complex)
+    C[:, :n] = c
+    S = (C.reshape(-1, B) @ W).reshape(len(c), A, len(x))
     zB = W[B - 1] * x
     del W  # the sweep below needs only S and z^B: keep the peak low
-    out = S[A - 1].copy()
+    out = S[:, A - 1].copy()
     for a in range(A - 2, -1, -1):
         out *= zB
-        out += S[a]
-    return out.reshape(z.shape)[()]
+        out += S[:, a]
+    return out.reshape(lead + z.shape)[()]
 
 
 def unwrap_closed(values):

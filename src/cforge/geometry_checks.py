@@ -160,7 +160,10 @@ def _fmt(x: float) -> str:
 
 
 def _path(points) -> str:
-    coords = " ".join(f"{_fmt(p.real)},{_fmt(-p.imag)}" for p in points)
+    # one format of all coordinates: '%.12g' % x == format(x, '.12g')
+    points = np.asarray(points, dtype=complex)
+    xy = np.column_stack([points.real, -points.imag]).ravel().tolist()
+    coords = " ".join(["%.12g,%.12g"] * len(points)) % tuple(xy)
     return f'<polyline fill="none" points="{coords}"/>'
 
 

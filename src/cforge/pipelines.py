@@ -669,7 +669,10 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     the correspondence along the segment from the image of the original
     centroid towards the squared domain's area centroid and keeps the
     candidate whose boundary image lies closest to the target curve (sup
-    distance).  Set ``cfg.anchor`` to a complex value to pin it instead.
+    distance).  Only candidates whose core is locally injective (univalence
+    winding 0) are ranked; the others are logged as rejected, and a search
+    left with none raises :class:`PipelineError`.  Set ``cfg.anchor`` to a
+    complex value to pin it instead.
     """
     if cfg.slender is None:
         raise InputError("slender_map needs a slender declaration")
@@ -704,7 +707,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     if cfg.anchor is not None:
         chosen_anchor, chosen = cfg.anchor, core_at(cfg.anchor)
     else:
-        from .geometry_checks import boundary_distances
+        from .geometry_checks import boundary_distances, univalence_check
 
         distance = boundary_distances(curve, ANCHOR_SEARCH_GRID)
         best = None
@@ -713,6 +716,15 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
             core = core_at(anchor)
             entry = {"frac": frac, "anchor": [anchor.real, anchor.imag]}
             search_log.append(entry)
+            try:
+                winding = univalence_check(core, max(8 * core.degree, 256))
+            except InputError as exc:
+                # the core's derivative vanishes on the unit circle
+                entry["rejected"] = str(exc)
+                continue
+            if winding != 0:
+                entry["rejected"] = f"core winding {winding}: not locally injective"
+                continue
             _, stages = _fold(cfg, 1, 2, a, direction, anchor)
             try:
                 dist = distance(ComposedMap(stages, core))
@@ -726,7 +738,8 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
                 best = (score, anchor, core)
         if best is None:
             raise PipelineError(
-                "no anchor candidate produced an evaluable composed map"
+                "no anchor candidate gave a locally injective core and an "
+                "evaluable composed map"
             )
         _, chosen_anchor, chosen = best
 

@@ -8,29 +8,34 @@ quadrature of ``z(t(theta)) e^{-ik theta}``.
 
 The correction solves a second-kind integral equation whose kernel is the
 parameter derivative of the argument of the chord quotient
-``(z(tau)-z(t)) / (e^{i tau}-e^{i t})``.  The quotient is expanded through
-the finite geometric-sum factorization of ``e^{ik tau} - e^{ik t}``, so the
-diagonal ``tau = t`` is a regular point and no limits are taken.  Swapping
-the order of the two finite sums makes the quotient a rank-``(n + m)``
-product ``A(tau) B(t)`` (``[-m, n]`` the curve's support), whose factors
-are Hankel matrices of the coefficients applied to powers of ``e^{+-ix}``;
-the scalar kernels use one row and one column of the same factors.
-Truncating ``q`` at ``M`` modes and projecting yields a dense ``2M x 2M``
-block system; the right-hand side combines the conjugate function of
-``ln|z|`` (the separated cotangent part) with the remaining
-continuous-kernel integral.
+``(z(tau)-z(t)) / (e^{i tau}-e^{i t})``, the Neumann kernel
+``Im[z'(tau)/(z(tau)-z(t))] - 1/2`` (Henrici, Applied and Computational
+Complex Analysis vol. 3, 1986); its real part is
+``Re[z'(tau)/(z(tau)-z(t))] - cot((tau-t)/2)/2``.  On the diagonal both
+take their limit, ``z''/(2z') - i/2``.  Truncating ``q`` at ``M`` modes
+and projecting yields a dense ``2M x 2M`` block system; the right-hand
+side combines the conjugate function of ``ln|z|`` (the separated cotangent
+part) with the remaining continuous-kernel integral.
+
+The grid is sampled from this closed form at a cost per entry that does
+not depend on the curve's support: ``z``, ``z'`` and ``z''`` at the nodes
+come from one inverse FFT each, and a block of ``(z(tau)-z(t))/z'(tau)``
+from one real matrix product of rank 3.  Within ``NEAR_DIAGONALS`` grid
+steps of the diagonal, where that difference cancels, the chords
+``z(t + dh) - z(t)`` come from their own spectra by one batched inverse
+FFT.  The cotangent part is real, so it reaches only the right-hand side,
+where it is a circular correlation whose DFT is known exactly.  The scalar
+kernels :func:`kernel_K` and :func:`kernel_L` use the geometric-sum form
+of the quotient, regular on the diagonal, in ``O(n + m)`` work.
 
 The trapezoid projection of the sampled kernel onto ``cos(lt), sin(lt)``
 is a discrete Fourier transform, so assembly streams over blocks of tau
-rows sized in bytes (``ASSEMBLY_BLOCK_BYTES`` per block of the quotient,
-so that the working set stays in cache): one matrix product of the
-interleaved rows of ``A`` and ``A_tau`` writes a block of the quotient
-and its derivative into one reused buffer, which is transformed along t
-by one real FFT per row.  Real FFTs along tau of the ``2M x P`` row
-spectra, a few rows at a time, then give the blocks.  No ``P x P`` array
-and no full tau spectrum is ever allocated, so the cost follows the
-curve's support: a curve refitted from samples should be cut at its
-round-off floor first, as the pipelines do.
+rows sized in bytes (``ASSEMBLY_BLOCK_BYTES`` per block of complex rows,
+so that the working set stays in cache) through reused buffers, each
+transformed along t by one real FFT per row.  Real FFTs along tau of the
+``2M x P`` row spectra, a few rows at a time, then give the blocks.  No
+``P x P`` array and no full tau spectrum is ever allocated, and assembly
+costs ``O(P^2 log P)`` whatever the support.
 """
 
 from __future__ import annotations
@@ -67,9 +72,12 @@ __all__ = [
 QUOTIENT_TOL = 1e-13
 # largest peak memory assemble_system and the solve may take
 ASSEMBLY_MAX_BYTES = 4 * 2**30
-# bytes of one block of complex chord-quotient rows streamed by assembly:
-# a block of W and one of W_tau stay in the L2 cache
+# bytes of one block of complex kernel rows streamed by assembly: the
+# block's four real buffers stay in the L2 cache
 ASSEMBLY_BLOCK_BYTES = 2**20
+# chords within this many grid steps of the diagonal come from their own
+# spectrum: the difference of node values cancels there
+NEAR_DIAGONALS = 32
 # largest |theta(t) - theta*| the correspondence inverse may leave
 INVERSE_TOL = 1e-10
 # samples per grid interval in the inverse's seed table
@@ -180,10 +188,11 @@ def _half_spectrum(values) -> np.ndarray:
 
 def _series_at(c: np.ndarray, t):
     """``Re sum_p c_p e^{ipt}`` at arbitrary ``t`` (scalar or array), by
-    :func:`horner` in ``e^{it}``."""
+    :func:`horner` in ``e^{it}``.  A 2-D ``c`` holds one series per row,
+    evaluated from one power table: the result gains a leading axis."""
     t = np.asarray(t, dtype=float)
     out = horner(c, np.exp(1j * t)).real
-    return float(out) if t.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def _series_on_grid(c: np.ndarray, n: int) -> np.ndarray:
@@ -192,105 +201,18 @@ def _series_on_grid(c: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (np.fft.irfft(c, n, norm="forward") + c[0].real)
 
 
-def _hankel(c: np.ndarray) -> np.ndarray:
-    """Square Hankel matrix ``H[i, j] = c[i + j]``, zero past the
-    anti-diagonal, as ``scipy.linalg.hankel(c)`` gives, in one gather."""
-    i = np.arange(len(c))
-    return np.concatenate([c, np.zeros_like(c)])[np.add.outer(i, i)]
-
-
-def _powers(x: np.ndarray, L: int) -> np.ndarray:
-    """Power table ``e^{ikx}``, ``k = 0..L``: one row per abscissa."""
-    return np.exp(1j * np.multiply.outer(x, np.arange(L + 1)))
-
-
-def _chord_factors(curve: FourierCurve, tau, t):
-    """Low-rank factors of the chord quotient ``W`` and its tau-derivative.
-
-    Swapping the two sums of
-
-        W = sum_{k>=1} c_k e^{ikt} S_k(tau-t) - sum_{k>=1} c_{-k} e^{-ik tau} S_k(tau-t),
-
-    ``S_p(x) = sum_{l<p} e^{ilx}``, gives ``W = A(tau) @ B(t)`` with
-
-        A = [ e^{il tau}                           | -sum_{j>=1} c_{-(l+j)} e^{-ij tau} ]
-        B = [ sum_{j>=1} c_{l+j} e^{ijt} ;  e^{-ilt} ]
-
-    where ``l = 0..n-1`` in the left/top block and ``l = 0..m-1`` in the
-    right/bottom block (``n``, ``m`` the curve's largest positive and
-    negative degrees), so the rank is ``n + m <= 2L``, ``L = max|k|``.  The
-    inner sums are Hankel matrices of the coefficients applied to powers of
-    ``e^{+-ix}``.  All powers come from one table ``e^{ikx}``, ``k = 0..L``,
-    per abscissa set (the negative ones as conjugates: ``e^{-ij tau} H`` is
-    the conjugate of ``e^{ij tau} conj(H)``).  ``W_tau = A_tau(tau) @ B(t)``
-    reuses B and differentiates A column by column.
-
-    Returns ``(F, B)``: ``F[i, 0]`` is the row of A and ``F[i, 1]`` the row
-    of ``A_tau`` at ``tau_i``, so ``F.reshape(-1, n + m)`` interleaves the
-    two, and B holds one column per ``t``.  Both are written in place; the
-    power table is the only temporary.
-    """
-    shared = t is tau
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    t = tau if shared else np.atleast_1d(np.asarray(t, dtype=float))
-    coeffs = curve.coeffs
-    n, m = curve.n, curve.m
-    hp = _hankel(np.array([coeffs.get(k, 0.0) for k in range(1, n + 1)], complex))
-    hn = _hankel(np.array([coeffs.get(-k, 0.0) for k in range(1, m + 1)], complex))
-    hc = hn.conj()
-    E = _powers(tau, max(n, m))
-    F = np.empty((len(tau), 2, n + m), dtype=complex)
-    A, A_tau = F[:, 0, n:], F[:, 1, n:]
-    F[:, 0, :n] = E[:, :n]
-    np.multiply(E[:, :n], 1j * np.arange(n), out=F[:, 1, :n])
-    np.matmul(E[:, 1 : m + 1], -hc, out=A)
-    np.matmul(E[:, 1 : m + 1], -1j * np.arange(1, m + 1)[:, None] * hc, out=A_tau)
-    np.conjugate(A, out=A)
-    np.conjugate(A_tau, out=A_tau)
-    if not shared:
-        E = _powers(t, max(n, m))
-    B = np.empty((n + m, len(t)), dtype=complex)
-    np.matmul(hp, E[:, 1 : n + 1].T, out=B[:n])
-    np.conjugate(E[:, :m].T, out=B[n:])
-    return F, B
-
-
 def _block_rows(P: int) -> int:
     """Rows of ``P`` complex entries that fit in ``ASSEMBLY_BLOCK_BYTES``
     (at least one, at most ``P``)."""
     return min(P, max(1, ASSEMBLY_BLOCK_BYTES // (16 * P)))
 
 
-def _chord_quotient_blocks(curve: FourierCurve, P: int):
-    """Chord quotient ``W`` and its tau-derivative on the P x P uniform grid,
-    :func:`_block_rows` rows at a time.
-
-    Row index runs over tau, column index over t.  Uses the factorization
-    ``(z(tau)-z(t))/(e^{i tau}-e^{i t}) = e^{-it} W(tau,t)``, where W is
-    polynomial in ``e^{i tau}`` and regular on the diagonal
-    (``W(t,t) = -i z'(t)``).  The t-only factor e^{-it} does not affect
-    tau-derivatives of log W and is dropped.
-
-    W has rank at most ``2L`` (``L = max|k|``): with the factors of
-    :func:`_chord_factors` one complex matrix product of the interleaved
-    rows of ``A`` and ``A_tau`` with B gives a block of both ``W`` and
-    ``W_tau``.  The factors are built by the call; the returned iterator
-    yields ``(r0, W, W_tau)`` for the rows ``r0 .. r0 + len(W) - 1``, as
-    views of one buffer that the next block overwrites.
-    """
-    grid = _grid(P)
-    F, B = _chord_factors(curve, grid, grid)
-    F = F.reshape(2 * P, -1)
-    rows = _block_rows(P)
-
-    def blocks():
-        buf = np.empty((2 * rows, P), dtype=complex)
-        for r0 in range(0, P, rows):
-            pairs = F[2 * r0 : 2 * (r0 + rows)]
-            WW = np.matmul(pairs, B, out=buf[: len(pairs)])
-            yield r0, WW[0::2], WW[1::2]
-
-    return blocks()
+def _on_nodes(ks: np.ndarray, spectra: np.ndarray, P: int) -> np.ndarray:
+    """``sum_k spectra[..., k] e^{i ks[k] t_j}`` at the ``P`` uniform nodes
+    ``t_j``: one inverse FFT of the coefficients folded mod ``P``."""
+    folded = np.zeros(spectra.shape[:-1] + (P,), dtype=complex)
+    np.add.at(folded, (..., ks % P), spectra)
+    return np.fft.ifft(folded, norm="forward", out=folded)
 
 
 def _quotient_floor(curve: FourierCurve) -> float:
@@ -298,10 +220,122 @@ def _quotient_floor(curve: FourierCurve) -> float:
     return QUOTIENT_TOL * max(1.0, max(abs(c) for c in curve.cs))
 
 
+def _kernel_blocks(curve: FourierCurve, P: int):
+    """Regular part ``G`` of the kernel on the P x P uniform grid,
+    :func:`_block_rows` rows at a time.
+
+    Row index runs over tau, column index over t.  Off the diagonal
+    ``G = z'(tau) / (z(tau) - z(t))``; on it ``G = z''/(2 z')``.  The
+    log-derivative of the chord quotient
+    ``W = (z(tau) - z(t)) e^{it}/(e^{i tau} - e^{it})`` is then
+    ``W_tau / W = G - cot((tau - t)/2)/2 - i/2``, without the cot term on
+    the diagonal, where ``W(t, t) = -i z'(t)`` and the limit is
+    ``z''/(2 z') - i/2``.
+
+    ``z``, ``z'`` and ``z''`` at the nodes are one inverse FFT each of the
+    coefficients folded mod P.  A block of ``E = 1/G = (z(tau) - z(t)) /
+    z'(tau)`` is one real matrix product of rank 3, ``z(tau)/z'(tau) -
+    z(t)/z'(tau)``, as accurate as the node difference; then
+    ``G = conj(E)/|E|^2``, no complex division.  Within ``NEAR_DIAGONALS``
+    grid steps of the diagonal the difference cancels, so there it comes
+    from its own spectrum, ``z(s + dh) - z(s) = sum_k c_k (e^{ikdh} - 1)
+    e^{iks}`` with ``e^{2ix} - 1 = i sin 2x - 2 sin^2 x``: one batched
+    inverse FFT for the offsets ``d > 0`` (those below the diagonal are
+    the same values negated).
+
+    ``|W(t, t)| = |z'(t)|`` and ``|W| = |D| / |2 sin((tau - t)/2)| >=
+    |D|/2`` off the diagonal (``D = z(tau) - z(t)``): a block whose
+    ``|z'|`` or exact ``|W|`` drops below :func:`_quotient_floor` raises
+    :class:`SolverError`, and the exact test runs only when a bound on
+    ``min |D|`` is below ``2 floor``.
+
+    The nodes and the chord table are built by the call; the returned
+    iterator yields ``(r0, re, im)``, ``Re G`` and ``Im G`` for
+    the rows ``r0 .. r0 + len(re) - 1``, as views of buffers that the
+    next block overwrites.
+    """
+    floor = _quotient_floor(curve)
+    ks = np.asarray(curve.ks)
+    cs = np.asarray(curve.cs)
+    z, dz, d2z = _on_nodes(ks, np.stack([cs, 1j * ks * cs, -(ks * ks) * cs]), P)
+    speed = np.abs(dz)
+    w = np.divide(1.0, dz, where=speed > 0, out=np.zeros(P, dtype=complex))
+    a = z * w
+    diag = 0.5 * d2z * w
+    # E(tau, t) = a(tau) - w(tau) z(t): real rows [Re E; -Im E] from [1, Re z, Im z]
+    coef = np.stack(
+        [
+            np.column_stack([a.real, -w.real, w.imag]),
+            np.column_stack([-a.imag, w.imag, w.real]),
+        ]
+    )
+    basis = np.stack([np.ones(P), z.real, z.imag])
+    d = np.arange(1, min(NEAR_DIAGONALS, (P - 1) // 2) + 1)
+    x = np.multiply.outer(d, ks * (np.pi / P))  # k d h / 2
+    chord = _on_nodes(ks, cs * (1j * np.sin(2.0 * x) - 2.0 * np.sin(x) ** 2), P)
+    rows = _block_rows(P)
+    buf = np.empty((4, rows, P))
+
+    def blocks():
+        for r0 in range(0, P, rows):
+            r1 = min(P, r0 + rows)
+            # Re E and -Im E, then Re G and Im G in place
+            re, im, a2, sq = buf[:, : r1 - r0]
+            if np.min(speed[r0:r1]) < floor:
+                raise SolverError(
+                    "chord quotient vanished on the grid: curve is degenerate "
+                    "or self-intersecting"
+                )
+            np.matmul(coef[:, r0:r1], basis, out=buf[:2, : r1 - r0])
+            # the band: tau = t + dh at column i - d, tau = t - dh at i + d
+            i = np.arange(r0, r1)[:, None]
+            start = (i - r0) * P
+            above, below = (i - d) % P, (i + d) % P
+            band = chord[d - 1, above] * w[r0:r1, None]
+            re.flat[start + above] = band.real
+            im.flat[start + above] = -band.imag
+            band = chord[d - 1, i] * w[r0:r1, None]
+            re.flat[start + below] = -band.real
+            im.flat[start + below] = band.imag
+            # a placeholder E = 1 on the diagonal, whose G is set below
+            re.flat[start + i] = 1.0
+            im.flat[start + i] = 0.0
+            np.multiply(re, re, out=a2)
+            a2 += np.multiply(im, im, out=sq)
+            if np.min(a2) * np.min(speed[r0:r1]) ** 2 < 4.0 * floor * floor:
+                sine = 2.0 * np.sin(np.pi * ((i - np.arange(P)) % P) / P)
+                if np.any(a2 * speed[r0:r1, None] ** 2 < (floor * sine) ** 2):
+                    raise SolverError(
+                        "chord quotient vanished on the grid: curve is "
+                        "degenerate or self-intersecting"
+                    )
+            np.divide(1.0, a2, out=a2)
+            re *= a2
+            im *= a2
+            re.flat[start + i] = diag[r0:r1, None].real
+            im.flat[start + i] = diag[r0:r1, None].imag
+            yield r0, re, im
+
+    return blocks()
+
+
 def _kernel_value(curve: FourierCurve, tau: float, t: float):
-    """Scalar ``W'_tau / W``: one row of the grid factors against one column."""
-    F, B = _chord_factors(curve, tau, t)
-    W, W_tau = F[0] @ B[:, 0]
+    """Scalar ``W_tau / W`` from the geometric-sum form of the chord
+    quotient, regular on the diagonal:
+
+        W = sum_{k>=1} (c_k e^{ikt} - c_{-k} e^{-ik tau}) S_k(tau - t),
+
+    ``S_k(x) = sum_{l<k} e^{ilx}``, so every ``S_k`` and its derivative
+    come from one cumulative sum over ``l``: ``O(n + m)`` work."""
+    coeffs = curve.coeffs
+    L = max(curve.n, curve.m)
+    k = np.arange(1, L + 1)
+    e = np.exp(1j * (tau - t) * np.arange(L))
+    S, dS = np.cumsum(e), np.cumsum(1j * np.arange(L) * e)
+    pos = np.array([coeffs.get(j, 0) for j in k], complex) * np.exp(1j * k * t)
+    neg = np.array([coeffs.get(-j, 0) for j in k], complex) * np.exp(-1j * k * tau)
+    W = (pos - neg) @ S
+    W_tau = (pos - neg) @ dS + neg @ (1j * k * S)
     if abs(W) < _quotient_floor(curve):
         raise SolverError(
             "chord quotient vanished: curve is degenerate or self-intersecting"
@@ -313,7 +347,7 @@ def kernel_K(curve: FourierCurve, tau: float, t: float) -> float:
     """Imaginary part of the log-derivative of the chord quotient.
 
     Equals ``Im[z'(tau)/(z(tau)-z(t))] - 1/2`` off the diagonal and stays
-    finite at ``tau = t`` thanks to the factorized form.
+    finite at ``tau = t`` thanks to the geometric-sum form.
     """
     return float(_kernel_value(curve, tau, t).imag)
 
@@ -323,46 +357,50 @@ def kernel_L(curve: FourierCurve, tau: float, t: float) -> float:
     return float(_kernel_value(curve, tau, t).real)
 
 
-def _assembly_peak_bytes(P: int, M: int, rank: int) -> int:
-    """Upper bound on the peak memory of assembling and solving the system.
+def _assembly_peak_bytes(P: int, M: int) -> int:
+    """Upper bound on the peak memory of assembling and solving the system,
+    whatever the curve's support.
 
-    The three complex ``P x rank`` factors take 48 bytes per ``rank P``
-    throughout the stream.  Next to them live first the power table they
-    are built from (at most 16 bytes per ``(rank + 1) P``), then the real
-    ``2M x P`` row spectra (16 bytes per ``P M``), never both.  The stream
-    adds the buffer of a block of ``W`` and ``W_tau`` rows with ``|W|``, the
-    block's row spectra and the FFT's copy of ``Im W_tau / W``: under four
-    complex blocks of :func:`_block_rows` rows; the tau transform then runs
-    in chunks of about one.  The ``2M x 2M`` matrix plus the LU copy of
+    The node values and the rows built from them take 16 bytes per
+    ``12 P``, and the chord table of the near-diagonal band per
+    ``NEAR_DIAGONALS P``.  The stream adds the real ``2M x P`` row spectra
+    (16 bytes per ``P M``) and, per row of a block of :func:`_block_rows`
+    rows, its four real buffers and its row spectrum (under ``3 P``
+    complex entries) and the band's values and indices (under
+    ``4 NEAR_DIAGONALS``).  The tau transform then runs in chunks of about
+    one block.  The ``2M x 2M`` matrix plus the LU copy of
     :func:`solve_reparam` take 64 bytes per ``M^2``.
     """
-    return 16 * P * (3 * rank + max(M, rank + 1) + 4 * _block_rows(P)) + 64 * M * M
+    per_row = 3 * P + 4 * NEAR_DIAGONALS
+    return 16 * (P * (M + NEAR_DIAGONALS + 12) + _block_rows(P) * per_row) + 64 * M * M
 
 
 def _row_spectra(curve: FourierCurve, M: int, P: int, u: np.ndarray):
     """Stream the kernel grid: ``(rows, ul)`` with ``rows[p-1, tau]`` and
     ``rows[M+p-1, tau]`` the sums over t of ``K(tau, t) cos(pt)`` and
     ``K(tau, t) sin(pt)``, ``p = 1..M``, and ``ul[t]`` the sum over tau of
-    ``u(tau) L(tau, t)``.  The factors and the block buffers are freed on
-    return."""
-    floor = _quotient_floor(curve)
-    blocks = _chord_quotient_blocks(curve, P)
+    ``u(tau) L(tau, t)``.
+
+    With ``G`` from :func:`_kernel_blocks`, ``K = Im G - 1/2``, whose
+    constant drops out of modes ``1..M``, and
+    ``L = Re G - cot((tau - t)/2)/2`` (no cot term on the diagonal).  The
+    cot part of ``ul`` is the circular correlation of ``u`` with the odd
+    table ``cot(pi d/P)/2``, ``d = 1..P-1``, whose DFT is
+    ``-i (P - 2p)/2`` exactly: one real FFT and one inverse.  The block
+    buffers are freed on return."""
+    blocks = _kernel_blocks(curve, P)
     rows = np.empty((2 * M, P))
     ul = np.zeros(P)
-    absW = np.empty((_block_rows(P), P))
     spec = np.empty((_block_rows(P), P // 2 + 1), dtype=complex)
-    for r0, W, Wt in blocks:
-        r1 = r0 + len(W)
-        if np.min(np.abs(W, out=absW[: len(W)])) < floor:
-            raise SolverError(
-                "chord quotient vanished on the grid: curve is degenerate "
-                "or self-intersecting"
-            )
-        quot = np.divide(Wt, W, out=Wt)
-        kept = np.fft.rfft(quot.imag, axis=1, out=spec[: len(W)])[:, 1 : M + 1]
+    for r0, re, im in blocks:
+        r1 = r0 + len(re)
+        ul += u[r0:r1] @ re
+        kept = np.fft.rfft(im, axis=1, out=spec[: len(im)])[:, 1 : M + 1]
         rows[:M, r0:r1] = kept.real.T
         np.negative(kept.imag.T, out=rows[M:, r0:r1])
-        ul += (u[r0:r1] @ quot).real  # complex GEMV: quot.real is strided
+    cot = 0.5j * (P - 2.0 * np.arange(P // 2 + 1))
+    cot[0] = 0.0
+    ul -= np.fft.irfft(np.fft.rfft(u) * cot, P)
     return rows, ul
 
 
@@ -386,7 +424,7 @@ def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
         raise InputError("M must be >= 1")
     if P < 4 * M:
         raise InputError(f"grid size P={P} must be at least 4M={4 * M}")
-    need = _assembly_peak_bytes(P, M, curve.n + curve.m)
+    need = _assembly_peak_bytes(P, M)
     if need > ASSEMBLY_MAX_BYTES:
         raise InputError(
             f"assembly at M={M}, P={P} needs about {need / 2**30:.1f} GiB, "
@@ -468,8 +506,8 @@ def correspondence_inverse(theta_grid: np.ndarray):
     ``INVERSE_UPSAMPLE`` times finer (one zero-padded inverse real FFT),
     closed by ``theta_0 + 2 pi`` and made monotone.  Each query is seeded by
     linear interpolation in that table and polished by 2 Newton steps on
-    the exact interpolant, each clipped to the seed's table interval
-    widened by one table step.  A final residual ``max|theta(t) - theta*|``
+    the exact interpolant (value and slope from one shared power table),
+    each clipped to the seed's table interval widened by one table step.  A final residual ``max|theta(t) - theta*|``
     above ``INVERSE_TOL`` raises :class:`SolverError`.  The inverse
     satisfies ``t(theta + 2 pi) = t(theta) + 2 pi``.
     """
@@ -477,7 +515,8 @@ def correspondence_inverse(theta_grid: np.ndarray):
     P = len(theta_grid)
     theta0 = theta_grid[0]
     c = _half_spectrum(theta_grid - _grid(P))
-    dc = 1j * np.arange(len(c)) * c
+    # theta - t and its slope, one row each
+    c_dc = np.stack([c, 1j * np.arange(len(c)) * c])
 
     fine = INVERSE_UPSAMPLE * P
     t_tab = _grid(fine)
@@ -496,8 +535,8 @@ def correspondence_inverse(theta_grid: np.ndarray):
         j = np.clip(np.floor(t / h), 0, fine - 1)
         lo, hi = (j - 1.0) * h, (j + 2.0) * h
         for _ in range(2):
-            step = (t + _series_at(c, t) - th_red) / (1.0 + _series_at(dc, t))
-            t = np.clip(t - step, lo, hi)
+            value, slope = _series_at(c_dc, t)
+            t = np.clip(t - (t + value - th_red) / (1.0 + slope), lo, hi)
         resid = float(np.max(np.abs(t + _series_at(c, t) - th_red), initial=0.0))
         if not resid <= INVERSE_TOL:
             raise SolverError(

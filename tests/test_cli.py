@@ -182,13 +182,25 @@ class TestMap:
         assert main(["map", "--config", cfg, "--out", str(tmp_path / "o3")]) == 2
         assert "cusp" in capsys.readouterr().err
 
+    def test_no_injective_anchor_candidate_exit_5(self, tmp_path, monkeypatch, capsys):
+        from cforge import geometry_checks
+
+        monkeypatch.setattr(geometry_checks, "univalence_check", lambda core, grid: 3)
+        coeffs = [{"k": -1, "re": 0.375, "im": 0.0}, {"k": 1, "re": 0.625, "im": 0.0}]
+        cfg = circle_config(
+            tmp_path, boundary={"coeffs": coeffs}, slender={"a": None},
+            M=32, P=256, D=64, n_iter=20,
+        )
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o5")]) == 5
+        assert "locally injective" in capsys.readouterr().err
+
     def test_oversized_grid_exit_2(self, tmp_path, monkeypatch):
         from cforge import reparam_solver
 
         def no_blocks(curve, P):
             raise AssertionError("grid blocks allocated")
 
-        monkeypatch.setattr(reparam_solver, "_chord_quotient_blocks", no_blocks)
+        monkeypatch.setattr(reparam_solver, "_kernel_blocks", no_blocks)
         cfg = circle_config(tmp_path, M=8000, P=32000)
         assert main(["map", "--config", cfg, "--out", str(tmp_path / "big")]) == 2
 

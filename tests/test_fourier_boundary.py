@@ -103,6 +103,18 @@ class TestHorner:
         assert out.shape == (3, 4) and out == pytest.approx(np.full((3, 4), expect))
         assert horner(coeffs, np.empty((0, 2))).shape == (0, 2)
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 1200])
+    def test_rows_share_one_table(self, n):
+        # one polynomial per row: each row as if evaluated alone
+        rng = np.random.default_rng(n)
+        coeffs = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        z = np.exp(2j * np.pi * rng.uniform(size=(4, 3)))
+        out = horner(coeffs, z)
+        assert out.shape == (2, 4, 3)
+        for row, alone in zip(out, coeffs):
+            assert np.allclose(row, horner(alone, z), rtol=1e-15, atol=1e-15 * n)
+        assert horner(coeffs, 0.5).shape == (2,)
+
     def test_empty_is_zero(self):
         assert complex(horner((), 2.0)) == 0.0
         assert np.array_equal(horner([], np.ones((2, 3))), np.zeros((2, 3)))

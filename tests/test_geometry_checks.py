@@ -175,6 +175,28 @@ class TestRenderer:
         svg = render_polar_net(identity_map(), spokes=8, circles=4, samples=64)
         assert svg.count("<polyline") == 8 + 4 + 1
 
+    def test_path_bytes_match_per_point_format(self):
+        # the one-format path writes what formatting each coordinate alone
+        # with format(x, ".12g") wrote, signed zeros and non-finite values too
+        def per_point(points):
+            fmt = lambda x: format(float(x), ".12g")
+            coords = " ".join(f"{fmt(p.real)},{fmt(-p.imag)}" for p in points)
+            return f'<polyline fill="none" points="{coords}"/>'
+
+        rng = np.random.default_rng(5)
+        scale = 10.0 ** rng.integers(-300, 300, (2, 200))
+        points = np.empty(200, dtype=complex)
+        points.real = rng.standard_normal(200) * scale[0]
+        points.imag = rng.standard_normal(200) * scale[1]
+        # every pair of +-0, nan, +-inf and the smallest subnormal
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324])
+        pairs = np.empty(special.size**2, dtype=complex)
+        pairs.real = np.repeat(special, special.size)
+        pairs.imag = np.tile(special, special.size)
+        for pts in (points, pairs):
+            assert geometry_checks._path(pts) == per_point(pts)
+        assert geometry_checks._path(points[:0]) == per_point(points[:0])
+
     def test_deterministic(self, quadratic_curve):
         cm = smooth_map(PipelineConfig(boundary=quadratic_curve, M=16, P=128, D=8))
         a = render_polar_net(cm, spokes=6, circles=3, samples=128)

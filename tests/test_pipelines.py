@@ -213,6 +213,33 @@ class TestSlender:
         )(cm)
         assert chosen[0]["sup_deviation"] == float(np.max(fresh))
 
+    def test_anchor_search_skips_cores_not_locally_injective(self):
+        # at this size the cores re-anchored at fractions 0 and 0.125 wind 28
+        # and 14 times (their derivatives vanish in the disk); the search
+        # ranks only the others
+        cfg = PipelineConfig(
+            boundary=ellipse_curve(), slender={"a": None}, M=32, P=256, D=64, n_iter=20
+        )
+        cm = slender_map(cfg)
+        log = cm.provenance["slender"]["anchor_search"]
+        rejected = [e for e in log if "rejected" in e]
+        assert [e["frac"] for e in rejected] == [0.0, 0.125]
+        assert [e["rejected"] for e in rejected] == [
+            "core winding 28: not locally injective",
+            "core winding 14: not locally injective",
+        ]
+        assert all("sup_deviation" not in e for e in rejected)
+        assert cm.provenance["slender"]["anchor"] == log[2]["anchor"]
+        assert geometry_checks.univalence_check(cm.core, 8 * cm.core.degree) == 0
+
+    def test_anchor_search_without_injective_core_fails(self, monkeypatch):
+        monkeypatch.setattr(geometry_checks, "univalence_check", lambda core, grid: 1)
+        cfg = PipelineConfig(
+            boundary=ellipse_curve(), slender={"a": None}, M=32, P=256, D=64, n_iter=20
+        )
+        with pytest.raises(PipelineError, match="locally injective"):
+            slender_map(cfg)
+
     def test_default_a_at_a_cusp_is_input_error(self):
         # the cardioid e^{it} + e^{2it}/2 has z'(pi) = 0 at a grid node:
         # its tangent there is round-off, so no outward normal exists

@@ -87,8 +87,24 @@ def _random_curve(ks, seed):
     return FourierCurve(tuple(ks), tuple(cs))
 
 
+def _grid_kernel(curve, P):
+    """The regular kernel part ``G`` of every grid entry, streamed block by
+    block (the yielded blocks are views of reused buffers: keep copies)."""
+    blocks = [
+        (r0, re.copy(), im.copy())
+        for r0, re, im in reparam_solver._kernel_blocks(curve, P)
+    ]
+    return [r0 for r0, _, _ in blocks], np.vstack([re + 1j * im for _, re, im in blocks])
+
+
+def _ellipse():
+    # x^2 + 16 y^2 = 1
+    return FourierCurve((-1, 1), (0.375, 0.625))
+
+
 class TestChordGrid:
-    """The factored grid against the chord quotient written out directly."""
+    """The closed-form grid ``G = z'(tau)/(z(tau) - z(t))`` (``z''/(2z')`` on
+    the diagonal) against the kernel written out directly."""
 
     @pytest.mark.parametrize(
         "curve",
@@ -108,41 +124,53 @@ class TestChordGrid:
         monkeypatch.setattr(reparam_solver, "ASSEMBLY_BLOCK_BYTES", 16 * P * 100)
         rows = reparam_solver._block_rows(P)
         assert rows == 100
-        # the yielded blocks are views of one buffer: keep copies
-        blocks = [
-            (r0, W.copy(), Wt.copy())
-            for r0, W, Wt in reparam_solver._chord_quotient_blocks(curve, P)
-        ]
-        assert [r0 for r0, _, _ in blocks] == list(range(0, P, rows))
-        W = np.vstack([b[1] for b in blocks])
-        Wt = np.vstack([b[2] for b in blocks])
+        starts, G = _grid_kernel(curve, P)
+        assert starts == list(range(0, P, rows))
         x = 2 * np.pi * np.arange(P) / P
-        tau, t = x[:, None], x[None, :]
         z = eval_curve(curve, x)
         dz = eval_curve(derivative_curve(curve, 1), x)
         d2z = eval_curve(derivative_curve(curve, 2), x)
-        # the direct forms cancel catastrophically near tau = t, so they are
-        # compared where |sin((tau - t)/2)| >= 0.1
-        far = np.abs(np.sin((tau - t) / 2)) >= 0.1
-        den = np.where(far, np.exp(1j * tau) - np.exp(1j * t), 1.0)
-        chord = z[:, None] - z[None, :]
-        W_direct = chord * np.exp(1j * t) / den
-        Wt_direct = (
-            np.exp(1j * t)
-            * (dz[:, None] * den - chord * 1j * np.exp(1j * tau))
-            / den**2
-        )
-        scale, scale_t = np.max(np.abs(W)), np.max(np.abs(Wt))
-        assert np.max(np.abs(W - W_direct)[far]) < 1e-12 * scale
-        assert np.max(np.abs(Wt - Wt_direct)[far]) < 1e-12 * scale_t
-        # diagonal limits: W(t,t) = -i z'(t), W_tau(t,t) = -(i z''(t) + z'(t))/2
-        assert np.max(np.abs(np.diag(W) + 1j * dz)) < 1e-12 * scale
-        assert np.max(np.abs(np.diag(Wt) + (1j * d2z + dz) / 2)) < 1e-12 * scale_t
+        # the direct form cancels near tau = t, so it is compared where
+        # |sin((tau - t)/2)| >= 0.1
+        far = np.abs(np.sin((x[:, None] - x[None, :]) / 2)) >= 0.1
+        chord = np.where(far, z[:, None] - z[None, :], 1.0)
+        direct = dz[:, None] / chord
+        scale = np.max(np.abs(G))
+        assert np.max(np.abs(G - direct)[far]) < 1e-12 * scale
+        # the diagonal limit of W_tau/W + i/2
+        assert np.max(np.abs(np.diag(G) - d2z / (2 * dz))) < 1e-12 * scale
 
+    @pytest.mark.parametrize(
+        "curve, P",
+        [(_random_curve(np.arange(-64, 65), 3), 1024), (_ellipse(), 2400)],
+        ids=["terms129", "ellipse"],
+    )
+    def test_matches_mpmath(self, curve, P):
+        # sampled entries on the diagonal, next to it, at the edge of the
+        # near-diagonal band (offsets 31..33) and far from it, against the
+        # closed form at 40 digits on the exact nodes
+        import mpmath
 
-def _ellipse():
-    # x^2 + 16 y^2 = 1
-    return FourierCurve((-1, 1), (0.375, 0.625))
+        _, G = _grid_kernel(curve, P)
+        rng = np.random.default_rng(7)
+        offsets = [0, 1, -1, 2, -2, 31, -31, 32, -32, 33, -33, P // 2]
+        pairs = [(int(i), int(i - d) % P) for i in rng.integers(0, P, 5) for d in offsets]
+        with mpmath.workdps(40):
+            ks = [mpmath.mpf(k) for k in curve.ks]
+            cs = [mpmath.mpc(c) for c in curve.cs]
+
+            def z(t, order=0):
+                return mpmath.fsum(
+                    c * (1j * k) ** order * mpmath.expj(k * t) for k, c in zip(ks, cs)
+                )
+
+            for i, j in pairs:
+                tau, t = 2 * mpmath.pi * i / P, 2 * mpmath.pi * j / P
+                if i == j:
+                    exact = z(tau, 2) / (2 * z(tau, 1))
+                else:
+                    exact = z(tau, 1) / (z(tau) - z(t))
+                assert abs(G[i, j] - complex(exact)) < 1e-12, (i, j)
 
 
 def _traced_peak(fn, *args):
@@ -160,25 +188,29 @@ class TestAssemblyMemoryGuard:
     def test_estimate(self):
         est = reparam_solver._assembly_peak_bytes
         cap = reparam_solver.ASSEMBLY_MAX_BYTES
-        # the 48-term slender solve (M = 300, P = 2400) stays below 0.1 GB;
+        # the slender solve (M = 300, P = 2400) stays below 0.1 GB;
         # M = 2000 at P = 16000 fits under the cap, M = 8000 at P = 32000 not
-        assert est(2400, 300, 48) < 0.1e9
-        assert est(16000, 2000, 2) < cap < est(32000, 8000, 2)
+        assert est(2400, 300) < 0.1e9
+        assert est(16000, 2000) < cap < est(32000, 8000)
 
     @pytest.mark.parametrize(
         "curve, M, P",
         [
             (_ellipse(), 300, 2400),
             (_random_curve(np.arange(-64, 65), 3), 128, 1024),
-            # the power table outweighs the row spectra
+            # the band and the block buffers outweigh the row spectra
             (_random_curve(np.arange(-64, 65), 3), 8, 1024),
         ],
         ids=["ellipse", "terms129", "terms129_M8"],
     )
     def test_estimate_bounds_measured_peak(self, curve, M, P):
         peak = _traced_peak(assemble_system, curve, M, P)
-        est = reparam_solver._assembly_peak_bytes(P, M, curve.n + curve.m)
+        est = reparam_solver._assembly_peak_bytes(P, M)
         assert peak <= est <= 4 * peak
+
+    def test_peak_independent_of_support(self):
+        many = _traced_peak(assemble_system, _random_curve(np.arange(-64, 65), 3), 128, 1024)
+        assert many <= 1.5 * _traced_peak(assemble_system, _ellipse(), 128, 1024)
 
     def test_no_grid_sized_allocation(self):
         # one real P x P array alone would take 8 P^2 bytes
@@ -189,20 +221,9 @@ class TestAssemblyMemoryGuard:
         def no_blocks(curve, P):
             raise AssertionError("grid blocks allocated")
 
-        monkeypatch.setattr(reparam_solver, "_chord_quotient_blocks", no_blocks)
+        monkeypatch.setattr(reparam_solver, "_kernel_blocks", no_blocks)
         with pytest.raises(InputError, match="GiB"):
             assemble_system(unit_circle, 8000, 32000)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 64])
-def test_hankel_matches_scipy(n):
-    from scipy.linalg import hankel
-
-    rng = np.random.default_rng(n)
-    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = reparam_solver._hankel(c)
-    assert got.dtype == complex
-    assert np.array_equal(got, hankel(c))
 
 
 class TestAssemble:
@@ -235,9 +256,14 @@ class TestAssemble:
 def _dense_projection(curve, M, P):
     """The system built from the whole P x P kernel grid by dense GEMMs."""
     x = 2 * np.pi * np.arange(P) / P
-    F, B = reparam_solver._chord_factors(curve, x, x)
-    quot = (F[:, 1] @ B) / (F[:, 0] @ B)
-    K, L = np.ascontiguousarray(quot.imag), quot.real
+    _, G = _grid_kernel(curve, P)
+    # cot((tau - t)/2)/2 from arguments up to pi/2, mirrored: odd mod P
+    d = np.arange(1, (P + 1) // 2)
+    cot = np.zeros(P)
+    cot[d] = 0.5 / np.tan(np.pi * d / P)
+    cot[P - d] = -cot[d]
+    K = G.imag - 0.5
+    L = G.real - cot[np.subtract.outer(np.arange(P), np.arange(P)) % P]
     p = np.arange(1, M + 1)
     C = np.cos(np.multiply.outer(p, x))
     S = np.sin(np.multiply.outer(p, x))
@@ -286,12 +312,18 @@ class TestStreamedAssembly:
         assert P % rows and j >= P - P % rows
         t0 = 2 * np.pi * j / P
         curve = FourierCurve((1, 2), (1.0, -0.5 * np.exp(-1j * t0)))
-        floor = reparam_solver._quotient_floor(curve)
-        for r0, W, _ in reparam_solver._chord_quotient_blocks(curve, P):
-            last = r0 + len(W) == P
-            assert (np.min(np.abs(W)) < floor) == last
+        starts = []
+        with pytest.raises(SolverError, match="vanished"):
+            for r0, _, _ in reparam_solver._kernel_blocks(curve, P):
+                starts.append(r0)
+        assert starts == list(range(0, P - P % rows, rows))
         with pytest.raises(SolverError, match="vanished"):
             assemble_system(curve, 100, P)
+
+    def test_vanishing_chord_off_the_diagonal(self):
+        # e^{2it} passes every point twice: z(t + pi) = z(t) at every node
+        with pytest.raises(SolverError, match="vanished"):
+            assemble_system(FourierCurve((2,), (1.0,)), 16, 128)
 
     def test_deterministic(self):
         curve = _random_curve(np.arange(-8, 9), 11)
@@ -511,6 +543,24 @@ class TestCorrespondenceInverse:
         monkeypatch.setattr(reparam_solver, "INVERSE_TOL", 0.0)
         with pytest.raises(SolverError, match="residual"):
             inv(np.linspace(-7.0, 7.0, 101))
+
+    def test_one_table_matches_separate_series(self, monkeypatch):
+        # the Newton steps take theta - t and its slope from one power table:
+        # the inverse equals the one that evaluates each series alone
+        theta = self.band_limited_theta(0.4, [0.3, -0.1, 0.05], [0.0, 1.0, 2.0])
+        grid = theta(2 * np.pi * np.arange(128) / 128)
+        th = np.linspace(-7.0, 7.0, 401)
+        shared = correspondence_inverse(grid)(th)
+        series_at = reparam_solver._series_at
+
+        def separate(c, t):
+            if np.ndim(c) == 2:
+                return np.stack([series_at(row, t) for row in c])
+            return series_at(c, t)
+
+        monkeypatch.setattr(reparam_solver, "_series_at", separate)
+        alone = correspondence_inverse(grid)(th)
+        assert np.max(np.abs(shared - alone)) <= 4 * np.finfo(float).eps * 7.0
 
     def test_steep_monotone_theta(self):
         # theta' = 1 + 0.999 cos t drops to 1e-3 at t = pi
