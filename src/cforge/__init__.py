@@ -6,6 +6,8 @@ fraction-polynomial map that sandwiches the polynomial core between a
 straightening power and a recursive root approximant.
 """
 
+import logging
+
 from .fourier_boundary import (
     CornerGapQuery,
     FourierCurve,
@@ -69,3 +71,7 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# diagnostics go to the "cforge" logger, silent unless the application
+# configures logging
+logging.getLogger("cforge").addHandler(logging.NullHandler())

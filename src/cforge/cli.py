@@ -196,13 +196,18 @@ def cmd_report(args) -> int:
     manifest = io.read_json(args.manifest, "manifest")
     diag = manifest.get("diagnostics", {})
     print(f"tool            : {manifest.get('tool')} {manifest.get('version')}")
-    kind = manifest.get("provenance", {}).get("kind", "smooth")
-    print(f"pipeline        : {kind}")
+    provenance = manifest.get("provenance", {})
+    print(f"pipeline        : {provenance.get('kind', 'smooth')}")
     cfgs = manifest.get("config", {})
     print(
         "resolutions     : "
         f"M={cfgs.get('M')} P={cfgs.get('P')} D={cfgs.get('D')} "
         f"n_iter={cfgs.get('n_iter')}"
+    )
+    solver = provenance.get("solver", {})
+    print(
+        f"quadrature      : assembly_P={solver.get('assembly_P')} "
+        f"kernel_tail={solver.get('kernel_tail')}"
     )
     for key in [f.name for f in fields(DeviationReport)] + ["solver_condition"]:
         print(f"{key:16}: {diag.get(key)}")

@@ -211,7 +211,10 @@ class PipelineConfig:
     a FourierCurve; ``samples`` may be given instead (uniform parameters,
     used directly by the corner pipeline and fitted at ``refit_degree``,
     within ``refit_tol`` > 0, elsewhere).  Resolution defaults follow the
-    command-line tool: M=64, P=8M, D=4M, n_iter=8.  Integer fields, corner
+    command-line tool: M=64, P=8M, D=4M, n_iter=8.  ``P`` is the
+    correspondence grid and the upper bound of the quadrature grid, which
+    :func:`~cforge.reparam_solver.solve_reparam` drops to ``4M`` when the
+    kernel is resolved there.  Integer fields, corner
     ``k`` and ``N`` too, must hold integral numbers and are stored as ints.
     """
 
@@ -547,8 +550,8 @@ def _composed(
 ) -> ComposedMap:
     """The composed map with its provenance: the config snapshot, the
     described ``construction`` transforms (domain to solved ``curve``), the
-    solver diagnostics with the solved support and the pipeline's own
-    ``extra`` entries."""
+    solver diagnostics with the solved support, the quadrature grid and its
+    kernel tail, and the pipeline's own ``extra`` entries."""
     provenance = {
         "kind": kind,
         "config": cfg.snapshot(),
@@ -560,6 +563,8 @@ def _composed(
             "n": curve.n,
             "m": curve.m,
             "condition": sol.condition,
+            "assembly_P": sol.assembly_P,
+            "kernel_tail": sol.kernel_tail,
             "monotone": sol.monotone,
             "neg_residual": core.neg_residual,
         },
@@ -713,9 +718,14 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
         best = None
         for frac in ANCHOR_FRACTIONS:
             anchor = base_anchor + frac * (u_centroid - base_anchor)
-            core = core_at(anchor)
             entry = {"frac": frac, "anchor": [anchor.real, anchor.imag]}
             search_log.append(entry)
+            try:
+                core = core_at(anchor)
+            except PipelineError as exc:
+                # the anchor's preimage Newton left the disk or stalled
+                entry["rejected"] = str(exc)
+                continue
             try:
                 winding = univalence_check(core, max(8 * core.degree, 256))
             except InputError as exc:
@@ -767,11 +777,20 @@ def _reanchor(theta_grid, core: PolynomialMap, old_anchor, new_anchor):
     scale.
     """
     target = new_anchor - old_anchor
-    dcoeffs = core.derivative_coeffs()
+    # the core and its derivative, one row each
+    c_dc = np.stack([core.coeffs, np.append(core.derivative_coeffs(), 0.0)])
     beta = 0.0 + 0.0j
     for steps in range(1, REANCHOR_STEPS + 1):
-        step = (core(beta) - target) / complex(horner(dcoeffs, beta))
+        value, slope = horner(c_dc, beta)
+        if slope == 0:
+            break
+        step = complex(value - target) / complex(slope)
         beta -= step
+        if abs(beta) > 1.0:
+            raise PipelineError(
+                f"anchor {new_anchor} is not an interior point of the solve: "
+                f"the preimage Newton left the unit disk at step {steps}"
+            )
         if abs(step) < 1e-15:
             break
     residual = abs(core(beta) - target)

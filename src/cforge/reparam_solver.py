@@ -36,10 +36,19 @@ transformed along t by one real FFT per row.  Real FFTs along tau of the
 ``2M x P`` row spectra, a few rows at a time, then give the blocks.  No
 ``P x P`` array and no full tau spectrum is ever allocated, and assembly
 costs ``O(P^2 log P)`` whatever the support.
+
+The same transforms bound the quadrature error: the spectra along t and
+along tau, and those of the right-hand side, decay geometrically for an
+analytic curve, and their envelope carried on to the first mode that
+aliases into the kept band is the assembly's ``tail``.  :func:`solve_reparam`
+assembles on ``4M``, the smallest grid the projection allows, and keeps
+that system when its tail is at round-off; otherwise it assembles on the
+given ``P``, which is also the grid of the correspondence ``theta``.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +77,8 @@ __all__ = [
     "load_polynomial_map",
 ]
 
+log = logging.getLogger("cforge")
+
 # chord quotient magnitudes below this mean a degenerate / self-crossing curve
 QUOTIENT_TOL = 1e-13
 # largest peak memory assemble_system and the solve may take
@@ -78,6 +89,10 @@ ASSEMBLY_BLOCK_BYTES = 2**20
 # chords within this many grid steps of the diagonal come from their own
 # spectrum: the difference of node values cancels there
 NEAR_DIAGONALS = 32
+# a system assembled on 4M is kept when its kernel tail, the spectra's
+# envelope at the first aliased mode relative to their kept band, is at
+# most this (see assemble_system)
+KERNEL_TAIL_TOL = 1e-13
 # largest |theta(t) - theta*| the correspondence inverse may leave
 INVERSE_TOL = 1e-10
 # samples per grid interval in the inverse's seed table
@@ -88,11 +103,13 @@ INVERSE_UPSAMPLE = 16
 class BlockSystem:
     """The truncated ``2M x 2M`` system ``A x = [F; G]``: rows and columns
     ``0..M-1`` belong to the cosine coefficients, ``M..2M-1`` to the sine
-    coefficients."""
+    coefficients.  ``tail`` estimates the quadrature error of the grid the
+    system was assembled on (see :func:`assemble_system`)."""
 
     A: np.ndarray
     F: np.ndarray
     G: np.ndarray
+    tail: float = float("nan")
 
     def rhs(self) -> np.ndarray:
         return np.concatenate([self.F, self.G])
@@ -106,7 +123,9 @@ class ReparamSolution:
     zero by construction), ``theta_grid`` the values of
     ``theta(t) = arg z(t) + q(t)`` at ``grid_size`` uniform parameters.
     ``monotone`` records whether ``theta`` is strictly increasing; only
-    monotone solutions are accepted downstream.
+    monotone solutions are accepted downstream.  ``assembly_P`` is the
+    quadrature grid the system was assembled on and ``kernel_tail`` its
+    :attr:`BlockSystem.tail`.
     """
 
     M: int
@@ -116,6 +135,8 @@ class ReparamSolution:
     grid_size: int
     monotone: bool
     condition: float = float("nan")
+    assembly_P: int = 0
+    kernel_tail: float = float("nan")
 
     def q(self, t):
         """Evaluate the correction ``q(t)`` from its coefficients."""
@@ -375,11 +396,45 @@ def _assembly_peak_bytes(P: int, M: int) -> int:
     return 16 * (P * (M + NEAR_DIAGONALS + 12) + _block_rows(P) * per_row) + 64 * M * M
 
 
+def _peak(values: np.ndarray) -> float:
+    """Largest real or imaginary part in absolute value (0 when empty):
+    within a factor ``sqrt 2`` of the largest modulus."""
+    parts = values.view(float) if np.iscomplexobj(values) else values
+    return max(np.max(parts, initial=0.0), -np.min(parts, initial=0.0))
+
+
+def _discarded(spectrum: np.ndarray, M: int) -> np.ndarray:
+    """:func:`_peak` of ``spectrum[..., k]`` over the two halves ``(M, h]``
+    and ``(h, 2M]`` of the first discarded band, ``h = M + M//2``."""
+    h = M + M // 2
+    halves = (spectrum[..., M + 1 : h + 1], spectrum[..., h + 1 : 2 * M + 1])
+    return np.array([_peak(half) for half in halves])
+
+
+def _tail(kept: float, discarded: np.ndarray, M: int, P: int) -> float:
+    """The envelope of a spectrum extrapolated to the first mode that
+    aliases into the kept band ``1..M``, ``P - M``, over the larger of the
+    kept band's peak and 1.  Spectra come scaled to Fourier coefficients,
+    so 1 stands for the identity in ``A`` and for a radian in ``q``: a
+    spectrum that vanishes, like the kernel of a circle, has no tail.
+
+    The decay from the first discarded half band to the second is carried
+    on geometrically (the trapezoid rule converges geometrically for
+    periodic analytic integrands: Trefethen & Weideman, SIAM Rev. 56,
+    2014); an envelope that does not fall is carried on flat, which is
+    also what a round-off plateau looks like."""
+    first, second = discarded
+    h = M + M // 2
+    rate = 1.0 if second >= first else second / first
+    return float(second * rate ** ((P - M - h) / max(1, h - M)) / max(kept, 1.0))
+
+
 def _row_spectra(curve: FourierCurve, M: int, P: int, u: np.ndarray):
-    """Stream the kernel grid: ``(rows, ul)`` with ``rows[p-1, tau]`` and
-    ``rows[M+p-1, tau]`` the sums over t of ``K(tau, t) cos(pt)`` and
-    ``K(tau, t) sin(pt)``, ``p = 1..M``, and ``ul[t]`` the sum over tau of
-    ``u(tau) L(tau, t)``.
+    """Stream the kernel grid: ``(rows, ul, tail)`` with
+    ``rows[p-1, tau]`` and ``rows[M+p-1, tau]`` the sums over t of
+    ``K(tau, t) cos(pt)`` and ``K(tau, t) sin(pt)``, ``p = 1..M``,
+    ``ul[t]`` the sum over tau of ``u(tau) L(tau, t)`` and ``tail`` the
+    :func:`_tail` of the rows' spectra along t.
 
     With ``G`` from :func:`_kernel_blocks`, ``K = Im G - 1/2``, whose
     constant drops out of modes ``1..M``, and
@@ -392,16 +447,35 @@ def _row_spectra(curve: FourierCurve, M: int, P: int, u: np.ndarray):
     rows = np.empty((2 * M, P))
     ul = np.zeros(P)
     spec = np.empty((_block_rows(P), P // 2 + 1), dtype=complex)
+    discarded = np.zeros(2)
     for r0, re, im in blocks:
         r1 = r0 + len(re)
         ul += u[r0:r1] @ re
-        kept = np.fft.rfft(im, axis=1, out=spec[: len(im)])[:, 1 : M + 1]
+        full = np.fft.rfft(im, axis=1, out=spec[: len(im)])
+        np.maximum(discarded, _discarded(full, M), out=discarded)
+        kept = full[:, 1 : M + 1]
         rows[:M, r0:r1] = kept.real.T
         np.negative(kept.imag.T, out=rows[M:, r0:r1])
     cot = 0.5j * (P - 2.0 * np.arange(P // 2 + 1))
     cot[0] = 0.0
     ul -= np.fft.irfft(np.fft.rfft(u) * cot, P)
-    return rows, ul
+    # scaled to the Fourier coefficients of K(tau, .)
+    return rows, ul, _tail(_peak(rows) * 2.0 / P, discarded * 2.0 / P, M, P)
+
+
+def _check_grid(M: int, P: int) -> None:
+    """Reject ``M < 1``, ``P < 4M`` and sizes whose peak would exceed
+    ``ASSEMBLY_MAX_BYTES`` with :class:`InputError`."""
+    if M < 1:
+        raise InputError("M must be >= 1")
+    if P < 4 * M:
+        raise InputError(f"grid size P={P} must be at least 4M={4 * M}")
+    need = _assembly_peak_bytes(P, M)
+    if need > ASSEMBLY_MAX_BYTES:
+        raise InputError(
+            f"assembly at M={M}, P={P} needs about {need / 2**30:.1f} GiB, "
+            f"above the {ASSEMBLY_MAX_BYTES / 2**30:.0f} GiB cap"
+        )
 
 
 def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
@@ -419,49 +493,61 @@ def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
     ``P >= 4M``; the curve must wind once around the origin.  Sizes whose
     peak would exceed ``ASSEMBLY_MAX_BYTES`` are rejected before anything
     is allocated.
+
+    The same transforms measure the quadrature error: ``tail`` is the
+    largest :func:`_tail` of the rows' spectra along t, the blocks'
+    spectra along tau and the half spectra of ``ln|z|`` and of the
+    ``L``-kernel integral, so a grid whose first aliased mode is at
+    round-off has a tail near machine precision.
     """
-    if M < 1:
-        raise InputError("M must be >= 1")
-    if P < 4 * M:
-        raise InputError(f"grid size P={P} must be at least 4M={4 * M}")
-    need = _assembly_peak_bytes(P, M)
-    if need > ASSEMBLY_MAX_BYTES:
-        raise InputError(
-            f"assembly at M={M}, P={P} needs about {need / 2**30:.1f} GiB, "
-            f"above the {ASSEMBLY_MAX_BYTES / 2**30:.0f} GiB cap"
-        )
+    _check_grid(M, P)
     u = np.log(np.abs(eval_curve(curve, _grid(P))))
-    rows, ul = _row_spectra(curve, M, P, u)
+    rows, ul, tail = _row_spectra(curve, M, P, u)
 
     # X[j, l] = sum_tau e^{-il tau} rows[j, tau]: the cos(l tau) projection
     # is Re X and the sin(l tau) projection -Im X
     w = 4.0 / P**2  # (1/pi^2) * (2 pi / P)^2
     A = np.empty((2 * M, 2 * M))
+    discarded = np.zeros(2)
     step = min(_block_rows(P // 2 + 1), 2 * M)
     spec = np.empty((step, P // 2 + 1), dtype=complex)
     for j0 in range(0, 2 * M, step):
         chunk = rows[j0 : j0 + step]
-        X = np.fft.rfft(chunk, axis=1, out=spec[: len(chunk)])[:, 1 : M + 1]
+        full = np.fft.rfft(chunk, axis=1, out=spec[: len(chunk)])
+        np.maximum(discarded, _discarded(full, M), out=discarded)
+        X = full[:, 1 : M + 1]
         np.multiply(X.real, -w, out=A[j0 : j0 + step, :M])
         np.multiply(X.imag, w, out=A[j0 : j0 + step, M:])
+    tail = max(tail, _tail(_peak(A), w * discarded, M, P))
     A[np.diag_indices(2 * M)] += 1.0
 
     # right-hand side: the continuous-kernel part minus the conjugate of
     # ln|z| (that of a cos pt + b sin pt is a sin pt - b cos pt), from half
     # spectra a - ib (modes 1..M, below the Nyquist mode)
-    su = _half_spectrum(u)[1 : M + 1]
+    su = _half_spectrum(u)
     rl = (2.0 / P) * ul  # (1/pi) int ln|z(tau)| L(tau, t) dtau at t_j
-    sr = _half_spectrum(rl)[1 : M + 1]
+    sr = _half_spectrum(rl)
+    for half in (su, sr):
+        tail = max(tail, _tail(_peak(half[1 : M + 1]), _discarded(half, M), M, P))
+    su, sr = su[1 : M + 1], sr[1 : M + 1]
     F = sr.real - su.imag
     G = -(su.real + sr.imag)
     for block in (A, F, G):
         if not np.all(np.isfinite(block)):
             raise SolverError("non-finite entries in the projected system")
-    return BlockSystem(A=A, F=F, G=G)
+    return BlockSystem(A=A, F=F, G=G, tail=tail)
 
 
 def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
     """Solve the block system and build ``theta(t) = arg z(t) + q(t)``.
+
+    ``P`` is the correspondence grid, on which ``theta`` is sampled, and
+    the largest quadrature grid.  The system is first assembled on the
+    kernel's own resolution ``4M``, the smallest grid the projection
+    allows, and kept when its ``tail`` is at most ``KERNEL_TAIL_TOL``;
+    otherwise it is assembled on ``P``.  A tail above the tolerance even
+    there is logged on the ``cforge`` logger.  Sizes are checked at ``P``
+    before anything is assembled.
 
     The mean of ``q`` is zero by construction (the constant mode is excluded
     from the system), which also removes the rotational eigenfunction and
@@ -471,7 +557,17 @@ def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
     from scipy.linalg import lu_factor, lu_solve
     from scipy.linalg.lapack import dgecon
 
-    system = assemble_system(curve, M, P)
+    _check_grid(M, P)
+    grid = 4 * M if P > 4 * M else P
+    system = assemble_system(curve, M, grid)
+    if grid < P and not system.tail <= KERNEL_TAIL_TOL:
+        grid = P
+        system = assemble_system(curve, M, grid)
+    if not system.tail <= KERNEL_TAIL_TOL:
+        log.warning(
+            "kernel tail %.3e at P=%d exceeds %.0e: the quadrature grid "
+            "under-resolves the kernel", system.tail, P, KERNEL_TAIL_TOL
+        )
     A = system.A
     lu, piv = lu_factor(A)
     rcond, _ = dgecon(lu, np.linalg.norm(A, 1), norm="1")
@@ -495,6 +591,8 @@ def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
         grid_size=P,
         monotone=monotone,
         condition=cond,
+        assembly_P=grid,
+        kernel_tail=system.tail,
     )
 
 

@@ -194,6 +194,19 @@ class TestMap:
         assert main(["map", "--config", cfg, "--out", str(tmp_path / "o5")]) == 5
         assert "locally injective" in capsys.readouterr().err
 
+    def test_slender_8_to_1_exit_5_without_warnings(self, tmp_path, capsys):
+        # Newton for the outer anchors' preimages leaves the solved disk;
+        # every candidate is rejected instead of overflowing
+        coeffs = [{"k": -1, "re": 0.4375, "im": 0.0}, {"k": 1, "re": 0.5625, "im": 0.0}]
+        cfg = circle_config(
+            tmp_path, boundary={"coeffs": coeffs}, slender={},
+            M=150, P=600, D=2000, n_iter=60,
+        )
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o8")]) == 5
+        err = capsys.readouterr().err
+        assert "no anchor candidate gave a locally injective core" in err
+        assert "Warning" not in err
+
     def test_oversized_grid_exit_2(self, tmp_path, monkeypatch):
         from cforge import reparam_solver
 
@@ -302,6 +315,10 @@ class TestRenderReport:
         text = capsys.readouterr().out
         assert "sup_deviation" in text
         assert "pipeline        : smooth" in text
+        # the unit circle's kernel vanishes: M = 16 is assembled on 4M = 64
+        manifest = json.loads((out / "manifest.json").read_text())
+        tail = manifest["provenance"]["solver"]["kernel_tail"]
+        assert f"quadrature      : assembly_P=64 kernel_tail={tail}\n" in text
 
 
     @pytest.mark.parametrize("key", ["outputs", "stages"])

@@ -26,8 +26,8 @@ from cforge.errors import (
     SectorViolationError,
     SelfIntersectionError,
 )
-from cforge import geometry_checks, pipelines
-from cforge.fourier_boundary import eval_curve
+from cforge import geometry_checks, pipelines, reparam_solver
+from cforge.fourier_boundary import eval_curve, horner
 from cforge.pipelines import _check_simple, area_centroid, winding_number
 from cforge.suites import planted_oracle_curve
 
@@ -326,6 +326,52 @@ class TestSlender:
         again = _reanchor(theta, core, 0.0, -0.5)
         assert np.all(np.diff(again) > 0)
 
+    def test_reanchor_stops_when_newton_leaves_the_disk(self, monkeypatch):
+        from cforge.pipelines import _reanchor
+        from cforge.reparam_solver import PolynomialMap
+
+        calls = []
+
+        def counted(coeffs, z):
+            calls.append(np.shape(coeffs))
+            return horner(coeffs, z)
+
+        monkeypatch.setattr(pipelines, "horner", counted)
+        # Newton on 2 beta - 3 from 0 lands on the preimage 3/2 at once
+        core = PolynomialMap(coeffs=[0.0, 2.0], neg_residual=0.0)
+        theta = 2 * np.pi * np.arange(64) / 64
+        with pytest.raises(PipelineError, match="left the unit disk at step 1"):
+            _reanchor(theta, core, 0.0, 3.0)
+        # value and slope come from one two-row evaluation per step
+        assert calls == [(2, 2)]
+
+    @pytest.mark.parametrize("M, P, D", [(150, 600, 2000), (300, 1200, 4000)])
+    def test_slender_8_to_1_rejects_anchors_outside_the_solve(self, M, P, D, monkeypatch):
+        import warnings
+
+        reanchor, outcomes = pipelines._reanchor, []
+
+        def recorded(*args):
+            try:
+                return reanchor(*args)
+            except PipelineError as exc:
+                outcomes.append(str(exc))
+                raise
+
+        monkeypatch.setattr(pipelines, "_reanchor", recorded)
+        cfg = PipelineConfig(
+            boundary=FourierCurve((-1, 1), (0.4375, 0.5625)), slender={"a": None},
+            M=M, P=P, D=D, n_iter=60,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PipelineError, match="no anchor candidate gave a locally"):
+                slender_map(cfg)
+        # the two candidates nearest the area centroid lie outside the
+        # solved disk: Newton leaves it at once, with no overflow
+        assert len(outcomes) == 2
+        assert all("left the unit disk at step 1" in text for text in outcomes)
+
 
 # small ellipse-like curves z = a e^{it} + b e^{-it} + c e^{2it}, Jordan
 # because |b| + 2|c| < |a|
@@ -425,6 +471,9 @@ class TestRefitCut:
 # (n, m) of each backbone case's solved curve: the smooth curve as given,
 # the refits of the straightened corner and the squared ellipse after the cut
 SOLVED_SUPPORT = {"smooth": (2, 1), "corner": (24, 24), "slender": (2, 2)}
+# the quadrature grid per M: the squared ellipse's kernel has not reached
+# round-off by mode 2M at M=32, so its solve falls back to P
+ASSEMBLY_PER_M = {"smooth": 4, "corner": 4, "slender": 8}
 
 
 class TestBackbone:
@@ -469,9 +518,12 @@ class TestBackbone:
             "n": SOLVED_SUPPORT[kind][0],
             "m": SOLVED_SUPPORT[kind][1],
             "condition": prov["solver"]["condition"],
+            "assembly_P": ASSEMBLY_PER_M[kind] * cfg.M,
+            "kernel_tail": prov["solver"]["kernel_tail"],
             "monotone": True,
             "neg_residual": cm.core.neg_residual,
         }
+        assert prov["solver"]["kernel_tail"] <= reparam_solver.KERNEL_TAIL_TOL
         assert (cm.core.solver_M, cm.core.solver_P) == (cfg.M, cfg.P)
 
 

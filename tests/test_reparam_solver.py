@@ -453,6 +453,183 @@ class TestSolve:
         assert np.mean(sol.q(t)) == pytest.approx(0.0, abs=1e-12)
 
 
+def _peanut(b):
+    """``e^{it} + (b/2)(e^{3it} + e^{-it})``: its waist pinches as b -> 1."""
+    return FourierCurve((-1, 1, 3), (b / 2, 1.0, b / 2))
+
+
+def _coefficients(sol):
+    return np.concatenate([sol.alpha, sol.beta])
+
+
+def _relative_gap(sol, reference):
+    ref = _coefficients(reference)
+    return np.max(np.abs(_coefficients(sol) - ref)) / np.max(np.abs(ref))
+
+
+@pytest.fixture
+def forced_P(monkeypatch):
+    """``solve_reparam`` with no tail accepted: assembled on P itself."""
+
+    def solve(curve, M, P):
+        with monkeypatch.context() as m:
+            m.setattr(reparam_solver, "KERNEL_TAIL_TOL", -1.0)
+            sol = solve_reparam(curve, M, P)
+        assert sol.assembly_P == P
+        return sol
+
+    return solve
+
+
+class _Captured(Exception):
+    pass
+
+
+def _captured(build, cfg, monkeypatch):
+    """``(curve, M, P)`` that ``build(cfg)`` hands to its solve."""
+    from cforge import pipelines
+
+    def capture(curve, M, P):
+        raise _Captured(curve, M, P)
+
+    with monkeypatch.context() as m:
+        m.setattr(pipelines, "solve_reparam", capture)
+        with pytest.raises(_Captured) as info:
+            build(cfg)
+    return info.value.args
+
+
+def _pinned_case(name):
+    """The pipeline and config of a benchmark job, on the benchmark's
+    contours moved by a fixed rigid motion."""
+    import contours
+    from cforge import PipelineConfig, corner_map, slender_map, smooth_map
+
+    rot, shift = np.exp(2j * np.pi * 137 / 1024), 2.5 * np.exp(1.1j)
+    ellipse = FourierCurve((-1, 0, 1), (0.375 * rot, shift, 0.625 * rot))
+    if name == "corner":
+        t = 2 * np.pi * np.arange(4096) / 4096
+        samples = rot * contours.corner_contour(t, 1, 2) + shift
+        return corner_map, PipelineConfig(
+            samples=samples, corner={"t0": 0.0, "k": 1, "N": 2}, M=128, P=1024,
+            D=50, n_iter=11, refit_degree=64,
+        )
+    if name == "smooth":
+        return smooth_map, PipelineConfig(boundary=ellipse, M=300, P=2400, D=1200)
+    if name == "slender":
+        return slender_map, PipelineConfig(
+            boundary=ellipse, slender={"a": None}, M=300, P=2400, D=1000, n_iter=20
+        )
+    if name == "cli smooth":
+        return smooth_map, PipelineConfig(boundary=ellipse, M=64)
+    return slender_map, PipelineConfig(
+        boundary=ellipse, slender={"a": None}, M=64, n_iter=12
+    )
+
+
+class TestQuadratureGrid:
+    """The system is assembled on 4M when its kernel tail is at round-off."""
+
+    @pytest.mark.parametrize(
+        "name", ["smooth", "slender", "corner", "cli smooth", "cli slender"]
+    )
+    def test_benchmark_curves_solve_on_4M(self, name, forced_P, monkeypatch):
+        curve, M, P = _captured(*_pinned_case(name), monkeypatch)
+        sol = solve_reparam(curve, M, P)
+        assert (sol.assembly_P, sol.grid_size) == (4 * M, P)
+        assert sol.kernel_tail <= reparam_solver.KERNEL_TAIL_TOL
+        assert _relative_gap(sol, forced_P(curve, M, P)) <= 1e-13
+
+    @pytest.mark.parametrize("b", [0.7, 0.85, 0.95])
+    @pytest.mark.parametrize("M", [32, 64, 128])
+    def test_peanuts_agree_wherever_4M_is_kept(self, b, M, forced_P):
+        curve = _peanut(b)
+        sol = solve_reparam(curve, M, 8 * M)
+        if sol.assembly_P == 4 * M:
+            assert _relative_gap(sol, forced_P(curve, M, 8 * M)) <= 1e-13
+
+    @pytest.mark.parametrize("M, err", [(32, 1.9e-2), (64, 4.0e-4)])
+    def test_pinched_peanut_falls_back(self, M, err, forced_P, monkeypatch):
+        curve = _peanut(0.95)
+        # on 4M the solve would be far off the 16M reference
+        coarse = assemble_system(curve, M, 4 * M)
+        assert coarse.tail > reparam_solver.KERNEL_TAIL_TOL
+        reference = forced_P(curve, M, 16 * M)
+        with monkeypatch.context() as m:
+            m.setattr(reparam_solver, "KERNEL_TAIL_TOL", 1.0)
+            kept = solve_reparam(curve, M, 8 * M)
+        assert kept.assembly_P == 4 * M
+        assert _relative_gap(kept, reference) == pytest.approx(err, rel=0.05)
+
+        systems = []
+        assemble = reparam_solver.assemble_system
+
+        def record(*args):
+            systems.append(assemble(*args))
+            return systems[-1]
+
+        monkeypatch.setattr(reparam_solver, "assemble_system", record)
+        sol = solve_reparam(curve, M, 8 * M)
+        assert sol.assembly_P == 8 * M
+        assert sol.kernel_tail == systems[-1].tail
+        direct = assemble(curve, M, 8 * M)
+        for name in ("A", "F", "G"):
+            assert getattr(systems[-1], name).tobytes() == getattr(direct, name).tobytes()
+
+    def test_tail_above_tolerance_on_P_is_logged(self, caplog):
+        with caplog.at_level("WARNING", logger="cforge"):
+            sol = solve_reparam(_peanut(0.95), 64, 512)
+        assert sol.assembly_P == 512
+        assert sol.kernel_tail > reparam_solver.KERNEL_TAIL_TOL
+        [record] = caplog.records
+        assert record.name == "cforge" and "kernel tail" in record.getMessage()
+
+    def test_accepted_solve_logs_nothing(self, caplog):
+        with caplog.at_level("DEBUG", logger="cforge"):
+            solve_reparam(_peanut(0.7), 64, 512)
+        assert not caplog.records
+
+    def test_curve_mode_past_the_4M_grid_shows_in_the_tail(self):
+        # e^{65it} folds onto e^{it} on 64 nodes, but z' keeps its factor 65
+        curve = FourierCurve((1, 65), (1.0, 1e-3))
+        assert assemble_system(curve, 16, 64).tail > 1e-3
+        assert solve_reparam(curve, 16, 128).assembly_P == 128
+
+    def test_size_checked_at_P_first(self, unit_circle, monkeypatch):
+        M, P = 64, 8192
+        est = reparam_solver._assembly_peak_bytes
+        # 4M fits under the cap, P does not
+        monkeypatch.setattr(reparam_solver, "ASSEMBLY_MAX_BYTES", est(P, M) - 1)
+        assert est(4 * M, M) < est(P, M) - 1
+
+        def no_blocks(curve, P):
+            raise AssertionError("grid blocks allocated")
+
+        monkeypatch.setattr(reparam_solver, "_kernel_blocks", no_blocks)
+        with pytest.raises(InputError, match="GiB"):
+            solve_reparam(unit_circle, M, P)
+
+    @pytest.mark.parametrize(
+        "curve",
+        [FourierCurve((2,), (1.0,)), FourierCurve((1, 2), (1.0, -0.5 * np.exp(-1.98j * np.pi)))],
+        ids=["double-cover", "cusp"],
+    )
+    def test_degenerate_curve_raises(self, curve):
+        with pytest.raises(SolverError, match="vanished"):
+            solve_reparam(curve, 100, 1000)
+
+    def test_tail_carries_the_decay_to_the_first_aliased_mode(self):
+        M, P, rho = 40, 320, 0.8
+        h = M + M // 2
+        # a geometric envelope rho^k, read at the first mode of each half band
+        discarded = np.array([rho ** (M + 1), rho ** (h + 1)])
+        tail = reparam_solver._tail(1.0, discarded, M, P)
+        assert tail == pytest.approx(rho ** (P - M + 1), rel=1e-9)
+        # a flat envelope is a plateau: carried on flat, relative to the kept peak
+        assert reparam_solver._tail(4.0, np.array([1e-14, 1e-14]), M, P) == 2.5e-15
+        assert reparam_solver._tail(0.5, np.array([0.0, 0.0]), M, P) == 0.0
+
+
 class TestInvertTheta:
     """``correspondence_inverse`` of solved correspondences."""
 
