@@ -4,7 +4,9 @@ Subcommands: ``fit`` (samples -> curve file), ``map`` (config -> composed
 map artifacts), ``verify`` (named property suites), ``render`` (manifest ->
 SVG), ``report`` (manifest summary).  Exit codes are a stable contract:
 0 ok, 1 verify failure, 2 malformed input, 3 underdetermined fit,
-4 solver failure, 5 pipeline precondition failure.
+4 solver failure, 5 pipeline precondition failure.  ``map`` writes nothing
+when its deviation ``--grid`` is below 256 (2) or its core is not locally
+injective, univalence winding not 0 (5).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     SolverError,
     WindingError,
 )
-from .fourier_boundary import fit_from_samples, save_curve
+from .fourier_boundary import eval_grid, fit_from_samples, save_curve
 from .geometry_checks import DeviationReport, boundary_deviation, render_polar_net
 from .pipelines import (
     ComposedMap,
@@ -55,8 +57,7 @@ def cmd_fit(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, args.name + ".csv")
     save_curve(curve, curve_path)
-    t = 2.0 * np.pi * np.arange(len(samples)) / len(samples)
-    resid = np.abs(curve(t) - samples)
+    resid = np.abs(eval_grid(curve.ks, curve.cs, len(samples)) - samples)
     report = {
         "samples": os.path.abspath(args.samples),
         "count": len(samples),
@@ -99,19 +100,20 @@ def cmd_map(args) -> int:
         payload = payload["config"]  # accept a previous run's manifest
     cfg = PipelineConfig.from_json(payload, base_dir=os.path.dirname(args.config) or ".")
 
-    os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     cmap = _build_map(cfg)
     t_build = time.perf_counter() - t0
 
-    core_path = os.path.join(args.out, "core.csv")
-    save_polynomial_map(cmap.core, core_path)
-
     target = cfg.boundary if cfg.boundary is not None else _sample_target(cfg.samples)
     t0 = time.perf_counter()
-    report = boundary_deviation(cmap, target, grid=max(args.grid, 256))
+    report = boundary_deviation(cmap, target, grid=args.grid)
     t_check = time.perf_counter() - t0
+    if (winding := report.univalence_winding) != 0:
+        raise PipelineError(f"core winding {winding}: not locally injective")
 
+    os.makedirs(args.out, exist_ok=True)
+    core_path = os.path.join(args.out, "core.csv")
+    save_polynomial_map(cmap.core, core_path)
     deviation = asdict(report)
     deviation_path = os.path.join(args.out, "deviation.json")
     io.write_json(deviation_path, deviation)
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--out", required=True, help="output directory")
     p_map.add_argument("--render", action="store_true", help="also write net.svg")
     p_map.add_argument("--grid", type=int, default=1024,
-                       help="deviation grid size (default 1024)")
+                       help="deviation grid size, at least 256 (default 1024)")
     p_map.set_defaults(fn=cmd_map)
 
     p_verify = sub.add_parser("verify", help="run a named property suite")

@@ -2,10 +2,12 @@
 
 A boundary is stored as a sparse set of complex coefficients ``c_k`` for
 ``k`` in ``[-m, n]``, representing ``z(t) = sum_k c_k e^{ikt}`` on
-``[0, 2*pi)``.  This module evaluates, differentiates and fits such curves,
-provides the continuous argument along the curve, the signed curvature, and
-the corner-gap integral used to quantify how fast Fourier partial sums
-converge at a corner point.
+``[0, 2*pi)``.  This module evaluates such curves and every complex
+polynomial of the package (on uniform grids of the circle by folding and
+one inverse FFT, at scattered points by Horner), differentiates and fits
+them, provides the continuous argument along the curve, the signed
+curvature, and the corner-gap integral used to quantify how fast Fourier
+partial sums converge at a corner point.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "FourierCurve",
     "CornerGapQuery",
     "eval_curve",
+    "eval_grid",
     "derivative_curve",
     "fit_from_samples",
     "unwrap_arg",
@@ -172,6 +175,20 @@ def fit_from_samples(points, m: int, n: int) -> FourierCurve:
     return FourierCurve(ks, cs)
 
 
+def eval_grid(ks, cs, n: int) -> np.ndarray:
+    """``sum_k cs[..., k] e^{i ks[k] t_j}`` at ``t_j = 2 pi j/n``, ``j < n``:
+    with ``ks = 0, 1, ...``, a polynomial on the ``n``-th roots of unity.
+
+    ``e^{i k t_j}`` depends on ``k mod n`` only, so this is one inverse FFT
+    of the coefficients folded mod ``n``, exact for integer ``ks`` of any
+    sign and size.  Leading axes of ``cs`` are rows, transformed together.
+    """
+    cs = np.asarray(cs, dtype=complex)
+    folded = np.zeros(cs.shape[:-1] + (n,), dtype=complex)
+    np.add.at(folded, (..., np.asarray(ks) % n), cs)
+    return np.fft.ifft(folded, norm="forward", out=folded)
+
+
 def horner(coeffs, z):
     """``sum_k coeffs[k] z^k`` for scalar or array ``z``, in about
     ``2 sqrt(n)`` array operations for ``n`` coefficients.
@@ -243,8 +260,7 @@ def unwrap_arg(curve: FourierCurve, grid_size: int):
     """
     if grid_size < 2:
         raise InputError("grid_size must be >= 2")
-    t = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    z = eval_curve(curve, t)
+    z = eval_grid(curve.ks, curve.cs, grid_size)
     scale = max(abs(c) for c in curve.cs)
     if np.min(np.abs(z)) < ORIGIN_TOL * max(1.0, scale):
         raise WindingError("curve passes through (or too close to) the origin")

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .fourier_boundary import FourierCurve, derivative_curve, eval_curve, unwrap_closed
+from .fourier_boundary import FourierCurve, derivative_curve, eval_curve, eval_grid
+from .fourier_boundary import unwrap_closed
 from .pipelines import ComposedMap, evaluate_composed, measure_corner_angle
 from .reparam_solver import PolynomialMap
 
@@ -60,7 +61,7 @@ def _nearest_distance(target, grid: int):
     fine = 16 * grid
     s = 2.0 * np.pi * np.arange(fine) / fine
     if isinstance(target, FourierCurve):
-        tgt = eval_curve(target, s)
+        tgt = eval_grid(target.ks, target.cs, fine)
         dcurve = derivative_curve(target, 1)
         d2curve = derivative_curve(target, 2)
     else:
@@ -99,14 +100,13 @@ def _nearest_distance(target, grid: int):
 
 
 def boundary_distances(target, grid: int = 256):
-    """Callable giving the distances of a composed map's images of ``grid``
-    unit-circle points from the target curve (a FourierCurve, or any 2
-    pi-periodic parametric callable), prepared once for every map."""
+    """Callable giving the distances of a composed map's images of the
+    ``grid``-th roots of unity from the target curve (a FourierCurve, or any
+    2 pi-periodic parametric callable), prepared once for every map."""
     if grid < 256:
         raise InputError("deviation grid must be at least 256")
-    zeta = np.exp(2j * np.pi * np.arange(grid) / grid)
     distance = _nearest_distance(target, grid)
-    return lambda cmap: distance(evaluate_composed(cmap, zeta))
+    return lambda cmap: distance(cmap.on_circle(grid))
 
 
 def boundary_deviation(
@@ -136,14 +136,14 @@ def univalence_check(core: PolynomialMap, grid: int) -> int:
     """Winding of ``Z'(e^{i theta})`` about 0 = number of zeros of ``Z'``
     in the disk.  Zero means the core is locally injective.
 
-    The nodes are the ``grid``-th roots of unity, so ``Z'`` there is one
-    zero-padded inverse FFT of its coefficients: ``grid >= 8 * degree``
-    leaves no aliasing.  Fails when ``|Z'|`` drops below 1e-12 at a node
-    (zero on the circle is inconclusive).
+    The nodes are the ``grid``-th roots of unity, where :func:`eval_grid`
+    gives ``Z'`` exactly.  ``grid >= 8 * degree`` resolves the turning of
+    its argument between neighbouring nodes.  Fails when ``|Z'|`` drops
+    below 1e-12 at a node (zero on the circle is inconclusive).
     """
     if grid < 8 * core.degree:
         raise InputError("univalence grid must be at least 8 * degree")
-    vals = grid * np.fft.ifft(core.derivative_coeffs(), grid)
+    vals = eval_grid(np.arange(core.degree), core.derivative_coeffs(), grid)
     if np.min(np.abs(vals)) < 1e-12:
         raise InputError(
             "derivative vanishes on the unit circle; winding inconclusive"

@@ -41,6 +41,7 @@ from .fourier_boundary import (
     curvature,
     derivative_curve,
     eval_curve,
+    eval_grid,
     fit_from_samples,
     horner,
     unwrap_closed,
@@ -166,24 +167,29 @@ class ComposedMap:
     def __call__(self, zeta):
         return evaluate_composed(self, zeta)
 
+    def on_circle(self, n: int) -> np.ndarray:
+        """The map at the ``n``-th roots of unity, the core by :func:`eval_grid`."""
+        coeffs = self.core.coeffs
+        return self.through_stages(eval_grid(np.arange(len(coeffs)), coeffs, n))
+
+    def through_stages(self, values):
+        """Core ``values`` through the stages in order; a root-approximant stage
+        given points outside its region raises :class:`DomainError` naming it."""
+        for i, stage in enumerate(self.stages):
+            try:
+                values = stage(values)
+            except DomainError as exc:
+                raise DomainError(f"stage {i} ({stage.kind}): {exc}") from exc
+        return values
+
 
 def evaluate_composed(cmap: ComposedMap, zeta):
-    """Evaluate the composed map at ``zeta`` with ``|zeta| <= 1``.
-
-    The core polynomial runs by Horner, then the stages in listed order.
-    Root-approximant stages that receive points outside their validity
-    region raise :class:`DomainError` annotated with the stage index.
-    """
+    """Evaluate the composed map at ``zeta`` with ``|zeta| <= 1``: the core
+    polynomial by Horner, then :meth:`ComposedMap.through_stages`."""
     zeta = np.asarray(zeta, dtype=complex)
     if np.any(np.abs(zeta) > 1.0 + 1e-12):
         raise InputError("evaluation point outside the closed unit disk")
-    out = cmap.core(zeta)
-    for i, stage in enumerate(cmap.stages):
-        try:
-            out = stage(out)
-        except DomainError as exc:
-            raise DomainError(f"stage {i} ({stage.kind}): {exc}") from exc
-    return out
+    return cmap.through_stages(cmap.core(zeta))
 
 
 def _point(value, what: str) -> complex:
@@ -457,8 +463,7 @@ def _check_simple(points: np.ndarray, label: str, max_check: int = 1024) -> None
 def _boundary_samples(cfg: PipelineConfig) -> np.ndarray:
     if cfg.samples is not None:
         return cfg.samples
-    t = 2.0 * np.pi * np.arange(cfg.sample_grid) / cfg.sample_grid
-    return eval_curve(cfg.boundary, t)
+    return eval_grid(cfg.boundary.ks, cfg.boundary.cs, cfg.sample_grid)
 
 
 def _refit(cfg: PipelineConfig, samples=None, label: str = "sampled boundary"):
@@ -482,8 +487,7 @@ def _refit(cfg: PipelineConfig, samples=None, label: str = "sampled boundary"):
     above = [k for k, c in zip(fit.ks, fit.cs) if k == 0 or abs(c) > floor]
     keep = slice(min(above) + degree, max(above) + degree + 1)
     curve = FourierCurve(fit.ks[keep], fit.cs[keep])
-    t = 2.0 * np.pi * np.arange(len(samples)) / len(samples)
-    resid = float(np.max(np.abs(eval_curve(curve, t) - samples)))
+    resid = float(np.max(np.abs(eval_grid(curve.ks, curve.cs, len(samples)) - samples)))
     diam = float(np.max(np.abs(samples - samples.mean())))
     if resid > cfg.refit_tol * max(diam, 1e-30):
         raise RefitQualityError(
@@ -615,12 +619,11 @@ def corner_map(cfg: PipelineConfig) -> ComposedMap:
     CFApproximant(k, N, cfg.n_iter)
     samples = _boundary_samples(cfg)
     S = len(samples)
-    t_s = 2.0 * np.pi * np.arange(S) / S
     if cfg.boundary is not None:
         z0 = eval_curve(cfg.boundary, t0)
     else:
         j = int(round(t0 / (2.0 * np.pi / S)))
-        if abs(t0 - t_s[j % S]) > 1e-9:
+        if abs(t0 - 2.0 * np.pi * (j % S) / S) > 1e-9:
             raise InputError("corner t0 must coincide with a sample node")
         z0 = complex(samples[j % S])
 

@@ -60,7 +60,7 @@ from .errors import (
     SingularSystemError,
     SolverError,
 )
-from .fourier_boundary import FourierCurve, eval_curve, horner, unwrap_arg
+from .fourier_boundary import FourierCurve, eval_curve, eval_grid, horner, unwrap_arg
 
 __all__ = [
     "BlockSystem",
@@ -228,14 +228,6 @@ def _block_rows(P: int) -> int:
     return min(P, max(1, ASSEMBLY_BLOCK_BYTES // (16 * P)))
 
 
-def _on_nodes(ks: np.ndarray, spectra: np.ndarray, P: int) -> np.ndarray:
-    """``sum_k spectra[..., k] e^{i ks[k] t_j}`` at the ``P`` uniform nodes
-    ``t_j``: one inverse FFT of the coefficients folded mod ``P``."""
-    folded = np.zeros(spectra.shape[:-1] + (P,), dtype=complex)
-    np.add.at(folded, (..., ks % P), spectra)
-    return np.fft.ifft(folded, norm="forward", out=folded)
-
-
 def _quotient_floor(curve: FourierCurve) -> float:
     """``|W|`` below this means a degenerate or self-intersecting curve."""
     return QUOTIENT_TOL * max(1.0, max(abs(c) for c in curve.cs))
@@ -278,7 +270,7 @@ def _kernel_blocks(curve: FourierCurve, P: int):
     floor = _quotient_floor(curve)
     ks = np.asarray(curve.ks)
     cs = np.asarray(curve.cs)
-    z, dz, d2z = _on_nodes(ks, np.stack([cs, 1j * ks * cs, -(ks * ks) * cs]), P)
+    z, dz, d2z = eval_grid(ks, np.stack([cs, 1j * ks * cs, -(ks * ks) * cs]), P)
     speed = np.abs(dz)
     w = np.divide(1.0, dz, where=speed > 0, out=np.zeros(P, dtype=complex))
     a = z * w
@@ -293,7 +285,7 @@ def _kernel_blocks(curve: FourierCurve, P: int):
     basis = np.stack([np.ones(P), z.real, z.imag])
     d = np.arange(1, min(NEAR_DIAGONALS, (P - 1) // 2) + 1)
     x = np.multiply.outer(d, ks * (np.pi / P))  # k d h / 2
-    chord = _on_nodes(ks, cs * (1j * np.sin(2.0 * x) - 2.0 * np.sin(x) ** 2), P)
+    chord = eval_grid(ks, cs * (1j * np.sin(2.0 * x) - 2.0 * np.sin(x) ** 2), P)
     rows = _block_rows(P)
     buf = np.empty((4, rows, P))
 
@@ -501,7 +493,7 @@ def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
     round-off has a tail near machine precision.
     """
     _check_grid(M, P)
-    u = np.log(np.abs(eval_curve(curve, _grid(P))))
+    u = np.log(np.abs(eval_grid(curve.ks, curve.cs, P)))
     rows, ul, tail = _row_spectra(curve, M, P, u)
 
     # X[j, l] = sum_tau e^{-il tau} rows[j, tau]: the cos(l tau) projection

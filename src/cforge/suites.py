@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .fourier_boundary import CornerGapQuery, FourierCurve, corner_gap_F
+from .fourier_boundary import CornerGapQuery, FourierCurve, corner_gap_F, fit_from_samples
 from .reparam_solver import solve_reparam, taylor_coeffs
 from .root_cf import CFApproximant, rate_estimate, root_cf, sqrt_cf
 
@@ -57,10 +57,7 @@ def planted_oracle_curve(degree: int = 24, grid: int = 4096) -> FourierCurve:
     t = 2.0 * np.pi * np.arange(grid) / grid
     theta = t + 0.3 * np.sin(t)
     w = np.exp(1j * theta)
-    z = w + 0.1 * w * w
-    dft = np.fft.fft(z) / grid
-    ks = range(-degree, degree + 1)
-    return FourierCurve(tuple(ks), tuple(dft[k % grid] for k in ks))
+    return fit_from_samples(w + 0.1 * w * w, degree, degree)
 
 
 def _report(name, seed, checked, failures, worst, detail=None):

@@ -207,6 +207,17 @@ class TestMap:
         assert "no anchor candidate gave a locally injective core" in err
         assert "Warning" not in err
 
+    def test_not_locally_injective_exit_5_writes_nothing(self, tmp_path, capsys):
+        # the smooth 8:1 ellipse at D=4000: the core's derivative has 3998
+        # zeros in the disk
+        coeffs = [{"k": -1, "re": 0.4375, "im": 0.0}, {"k": 1, "re": 0.5625, "im": 0.0}]
+        cfg = circle_config(tmp_path, boundary={"coeffs": coeffs}, M=150, P=600, D=4000)
+        out = tmp_path / "o81"
+        assert main(["map", "--config", cfg, "--out", str(out)]) == 5
+        assert "core winding 3998: not locally injective" in capsys.readouterr().err
+        assert not (out / "core.csv").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_oversized_grid_exit_2(self, tmp_path, monkeypatch):
         from cforge import reparam_solver
 
@@ -444,9 +455,10 @@ MALFORMED_INPUTS = {
     "refit_tol-infinite": {"refit_tol": float("inf")},
     "refit_tol-zero": {"refit_tol": 0.0},
     "refit_tol-negative": {"refit_tol": -1e-3},
-    "render-samples-negative": ["--samples", "-3"],
-    "render-samples-zero": ["--samples", "0"],
-    "render-samples-one": ["--samples", "1"],
+    "render-samples-negative": ("render", ["--samples", "-3"]),
+    "render-samples-zero": ("render", ["--samples", "0"]),
+    "render-samples-one": ("render", ["--samples", "1"]),
+    "map-grid-below-256": ("map", ["--grid", "10"]),
 }
 
 
@@ -457,15 +469,19 @@ def test_malformed_input_exit_2(tmp_path, capsys, case):
         # Python's json writes and reads NaN and Infinity
         argv = ["map", "--config", circle_config(tmp_path, **bad),
                 "--out", str(tmp_path / "o")]
+    elif bad[0] == "map":
+        argv = ["map", "--config", circle_config(tmp_path),
+                "--out", str(tmp_path / "o"), *bad[1]]
     else:
         run = tmp_path / "run"
         assert main(["map", "--config", circle_config(tmp_path), "--out", str(run)]) == 0
         argv = ["render", "--manifest", str(run / "manifest.json"),
-                "--out", str(tmp_path / "n.svg"), *bad]
+                "--out", str(tmp_path / "n.svg"), *bad[1]]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "o" / "core.csv").exists()
     assert not (tmp_path / "o" / "manifest.json").exists()
     assert not (tmp_path / "n.svg").exists()

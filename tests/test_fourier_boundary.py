@@ -20,7 +20,7 @@ from cforge import (
     unwrap_arg,
 )
 from cforge.errors import FitError, InputError, WindingError
-from cforge.fourier_boundary import horner
+from cforge.fourier_boundary import eval_grid, horner
 
 from contours import three_semicircle_contour
 
@@ -143,6 +143,44 @@ class TestEvalCurveKernel:
         scalar = eval_curve(curve, float(t[0]))
         assert isinstance(scalar, complex)
         assert abs(scalar - _per_term_sum(curve, t[0])) <= bound
+
+
+class TestEvalGrid:
+    """One inverse FFT of the folded coefficients against Horner at the
+    nodes, within ``1e-13 sum |c|``, including the folds."""
+
+    @pytest.mark.parametrize("n", [7, 37, 38, 300])
+    def test_polynomial_matches_horner(self, rng, n):
+        # degree 37: n below it and at it fold, n = 38 and above do not
+        c = rng.standard_normal(38) + 1j * rng.standard_normal(38)
+        nodes = np.exp(2j * np.pi * np.arange(n) / n)
+        err = np.max(np.abs(eval_grid(np.arange(38), c, n) - horner(c, nodes)))
+        assert err <= 1e-13 * np.sum(np.abs(c))
+
+    @pytest.mark.parametrize("n", [5, 24, 25, 256])
+    def test_curve_matches_eval_curve(self, rng, n):
+        # support [-12, 12] has 25 terms: negative k fold onto n - |k|
+        ks = np.arange(-12, 13)
+        cs = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+        t = 2.0 * np.pi * np.arange(n) / n
+        want = eval_curve(FourierCurve(tuple(ks), tuple(cs)), t)
+        assert np.max(np.abs(eval_grid(ks, cs, n) - want)) <= 1e-13 * np.sum(np.abs(cs))
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_rows(self, rng, n):
+        # a stack of coefficient rows with negative and aliasing indices
+        ks = np.array([-9, -2, 0, 1, 5, 11])
+        cs = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        got = eval_grid(ks, cs, n)
+        assert got.shape == (4, n)
+        t = 2.0 * np.pi * np.arange(n) / n
+        for row, c in zip(got, cs):
+            want = eval_curve(FourierCurve(tuple(ks), tuple(c)), t)
+            assert np.max(np.abs(row - want)) <= 1e-13 * np.sum(np.abs(c))
+
+    def test_fold_is_exact(self):
+        # zeta^n = zeta^-n = 1 on the n-th roots of unity
+        assert np.array_equal(eval_grid([0, 8, -8], [1.0, 2.0, 4.0], 8), np.full(8, 7.0))
 
 
 class TestDerivative:

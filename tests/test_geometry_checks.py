@@ -150,8 +150,8 @@ class TestUnivalence:
 
     @pytest.mark.parametrize("degree, grid", [(1, 256), (37, 300), (1000, 8000)])
     def test_fft_nodes_match_kernel(self, monkeypatch, rng, degree, grid):
-        # Z' at the grid-th roots of unity by one inverse FFT equals the
-        # Horner kernel there: grid >= 8 degree leaves no aliasing
+        # the values the check unwraps are Z' at the grid-th roots of
+        # unity: the Horner kernel's values there
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
         # Z'(0) outweighs the rest on the circle: no zero of Z' in the disk
         coeffs[1] = 2.0 * np.sum(np.arange(2, degree + 1) * np.abs(coeffs[2:])) + 1.0

@@ -583,6 +583,18 @@ class TestEvaluate:
         )
         with pytest.raises(DomainError, match="stage 1"):
             evaluate_composed(cm, 0.5 + 0j)
+        with pytest.raises(DomainError, match="stage 1"):
+            cm.on_circle(8)
+
+    @pytest.mark.parametrize("n", [48, 1024])
+    def test_on_circle_matches_evaluate_composed(self, n):
+        # degree-64 core plus the slender stages; n = 48 folds the core
+        cfg = PipelineConfig(
+            boundary=ellipse_curve(), slender={}, M=32, P=256, D=64, n_iter=20
+        )
+        cm = slender_map(cfg)
+        want = evaluate_composed(cm, np.exp(2j * np.pi * np.arange(n) / n))
+        assert np.max(np.abs(cm.on_circle(n) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_interior_point_winding(self):
         cm = corner_map(fold_config(1, 2, 8, D=40, M=64, refit=32))
