@@ -99,6 +99,8 @@ def cmd_map(args) -> int:
     if "config" in payload and "tool" in payload:
         payload = payload["config"]  # accept a previous run's manifest
     cfg = PipelineConfig.from_json(payload, base_dir=os.path.dirname(args.config) or ".")
+    if args.grid < 256:
+        raise InputError("deviation grid must be at least 256")
 
     t0 = time.perf_counter()
     cmap = _build_map(cfg)

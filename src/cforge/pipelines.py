@@ -22,7 +22,7 @@ reproduced bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Number, Real
 
 import numpy as np
@@ -66,10 +66,10 @@ SECTOR_MARGIN = 1e-9     # angular slack for sector / half-plane membership
 CORNER_EXCLUSION = 1e-8  # |w| below this (times scale) has no reliable argument
 ANCHOR_FRACTIONS = (0.0, 0.125, 0.25, 0.375, 0.5)
 ANCHOR_SEARCH_GRID = 1024
-# a later anchor candidate replaces the best one only when its deviation is
-# smaller by more than this relative margin: closer scores are a rounding-level
-# tie, kept by the candidate nearer the base anchor, so the choice does not
-# depend on the last bits of the BLAS build
+# a later anchor candidate (or curvature node of the default expansion point)
+# wins only by more than this relative margin: closer values are a rounding-
+# level tie, kept by the earlier one, so the choice does not depend on the
+# last bits of the BLAS build
 ANCHOR_TIE_RTOL = 1e-9
 # Newton on the base core for an anchor's preimage: step budget and the
 # residual |core(beta) - target| accepted, relative to max |core coefficient|
@@ -623,7 +623,7 @@ def corner_map(cfg: PipelineConfig) -> ComposedMap:
         z0 = eval_curve(cfg.boundary, t0)
     else:
         j = int(round(t0 / (2.0 * np.pi / S)))
-        if abs(t0 - 2.0 * np.pi * (j % S) / S) > 1e-9:
+        if abs(t0 - 2.0 * np.pi * j / S) > 1e-9:
             raise InputError("corner t0 must coincide with a sample node")
         z0 = complex(samples[j % S])
 
@@ -650,12 +650,14 @@ def _default_a(curve: FourierCurve, samples: np.ndarray) -> complex:
     """Outside point near the maximal-curvature boundary point.
 
     Offset is 2% of the domain diameter along the outward normal at the
-    curvature maximum.  A cusp on the grid has no normal, so there
-    :func:`curvature` raises :class:`InputError`.
+    curvature maximum (its first node, ties within ``ANCHOR_TIE_RTOL``).
+    A cusp on the grid has no normal, so there :func:`curvature` raises
+    :class:`InputError`.
     """
     S = len(samples)
     t_s = 2.0 * np.pi * np.arange(S) / S
-    j = int(np.argmax(curvature(curve, t_s)))
+    kappa = curvature(curve, t_s)
+    j = int(np.argmax(kappa >= kappa.max() - ANCHOR_TIE_RTOL * abs(kappa.max())))
     d1 = eval_curve(derivative_curve(curve, 1), t_s[j])
     outward = -1j * (d1 / np.abs(d1))
     diameter = 2.0 * float(np.max(np.abs(samples - samples.mean())))
@@ -673,13 +675,14 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
 
     The interior point sent to the disk centre ("anchor") is a free
     normalization of the squared-domain solve.  Because re-anchoring is a
-    disk automorphism, one solve supports them all: the pipeline re-anchors
-    the correspondence along the segment from the image of the original
-    centroid towards the squared domain's area centroid and keeps the
-    candidate whose boundary image lies closest to the target curve (sup
-    distance).  Only candidates whose core is locally injective (univalence
-    winding 0) are ranked; the others are logged as rejected, and a search
-    left with none raises :class:`PipelineError`.  Set ``cfg.anchor`` to a
+    disk automorphism, one solve supports them all: each candidate samples
+    the one correspondence through the automorphism sending 0 to the
+    anchor's preimage (:func:`_reanchor`).  Candidates lie on the segment
+    from the image of the original centroid towards the squared domain's
+    area centroid; the one whose boundary image lies closest to the target
+    curve (sup distance) is kept.  A core that is not locally injective
+    (univalence winding not 0) is rejected, and a search left with no
+    candidate raises :class:`PipelineError`.  Set ``cfg.anchor`` to a
     complex value to pin it instead.
     """
     if cfg.slender is None:
@@ -702,21 +705,23 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     base_anchor = PlaneTransform("power", (2, 1))((curve.coeff(0) - a) / direction)
     _, u_centroid = area_centroid(squared)
     sol, base_core = _solve_core(squared_curve, base_anchor, cfg)
+    from .geometry_checks import boundary_distances, univalence_check
 
     def core_at(anchor: complex) -> PolynomialMap:
-        # every candidate re-anchors the one solve through the base core
-        if anchor == base_anchor:
-            return base_core
-        theta = _reanchor(sol.theta_grid, base_core, base_anchor, anchor)
-        moved = replace(sol, theta_grid=theta)
-        return taylor_coeffs(_translate(squared_curve, -anchor), moved, cfg.D)
+        # every candidate samples the one solve through a disk automorphism
+        core = base_core
+        if anchor != base_anchor:
+            center = _reanchor(base_core, base_anchor, anchor)
+            core = taylor_coeffs(_translate(squared_curve, -anchor), sol, cfg.D, center)
+        winding = univalence_check(core, max(8 * core.degree, 256))
+        if winding != 0:
+            raise PipelineError(f"core winding {winding}: not locally injective")
+        return core
 
     search_log = []
     if cfg.anchor is not None:
         chosen_anchor, chosen = cfg.anchor, core_at(cfg.anchor)
     else:
-        from .geometry_checks import boundary_distances, univalence_check
-
         distance = boundary_distances(curve, ANCHOR_SEARCH_GRID)
         best = None
         for frac in ANCHOR_FRACTIONS:
@@ -725,27 +730,12 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
             search_log.append(entry)
             try:
                 core = core_at(anchor)
-            except PipelineError as exc:
-                # the anchor's preimage Newton left the disk or stalled
+                _, stages = _fold(cfg, 1, 2, a, direction, anchor)
+                score = float(np.max(distance(ComposedMap(stages, core))))
+            except (PipelineError, InputError, DomainError) as exc:
+                # no preimage, a core not locally injective, or a root cut hit
                 entry["rejected"] = str(exc)
                 continue
-            try:
-                winding = univalence_check(core, max(8 * core.degree, 256))
-            except InputError as exc:
-                # the core's derivative vanishes on the unit circle
-                entry["rejected"] = str(exc)
-                continue
-            if winding != 0:
-                entry["rejected"] = f"core winding {winding}: not locally injective"
-                continue
-            _, stages = _fold(cfg, 1, 2, a, direction, anchor)
-            try:
-                dist = distance(ComposedMap(stages, core))
-            except DomainError as exc:
-                # candidate's boundary image grazes the root-approximant cut
-                entry["rejected"] = str(exc)
-                continue
-            score = float(np.max(dist))
             entry["sup_deviation"] = score
             if best is None or score < best[0] * (1.0 - ANCHOR_TIE_RTOL):
                 best = (score, anchor, core)
@@ -770,14 +760,13 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     )
 
 
-def _reanchor(theta_grid, core: PolynomialMap, old_anchor, new_anchor):
-    """Correspondence of the same solve re-normalized to a new anchor point.
-
-    ``core`` is the Taylor core of the normalization at ``old_anchor``.
-    Maps through the disk automorphism sending the preimage of the new
-    anchor to 0; the preimage is found by Newton on ``core``, which must
-    bring ``|core(beta) - target|`` within ``REANCHOR_TOL`` of the core's
-    scale.
+def _reanchor(core: PolynomialMap, old_anchor, new_anchor) -> complex:
+    """Preimage ``beta`` of ``new_anchor`` under the solve anchored at
+    ``old_anchor``: the solve re-anchored is that solve composed with the
+    disk automorphism sending 0 to ``beta``.  ``core`` is the Taylor core
+    at ``old_anchor``; Newton on it must keep its iterates in the unit disk
+    and bring ``|core(beta) - target|`` within ``REANCHOR_TOL`` of the
+    core's scale.
     """
     target = new_anchor - old_anchor
     # the core and its derivative, one row each
@@ -806,10 +795,7 @@ def _reanchor(theta_grid, core: PolynomialMap, old_anchor, new_anchor):
         raise PipelineError(
             f"anchor {new_anchor} is not an interior point of the solve"
         )
-    w = np.exp(1j * theta_grid)
-    mob = (w - beta) / (1.0 - np.conj(beta) * w)
-    theta = np.unwrap(np.angle(mob))
-    return theta
+    return beta
 
 
 # ---------------------------------------------------------------------------

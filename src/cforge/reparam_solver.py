@@ -640,22 +640,27 @@ def correspondence_inverse(theta_grid: np.ndarray):
 
 
 def taylor_from_correspondence(
-    curve: FourierCurve, theta_grid: np.ndarray, D: int
+    curve: FourierCurve, theta_grid: np.ndarray, D: int, center: complex = 0j
 ) -> PolynomialMap:
     """Taylor coefficients of the disk map with boundary correspondence
-    ``theta_grid`` (values at uniform curve parameters).
+    ``theta_grid`` (values at uniform curve parameters), composed with the
+    disk automorphism ``zeta -> (zeta + center)/(1 + conj(center) zeta)``.
 
-    Evaluates ``c_k = (1/2 pi) int z(t(theta)) e^{-ik theta} dtheta`` on a
-    uniform theta grid of at least ``4 D`` nodes; the same samples give the
-    negative-frequency coefficients whose l2 norm becomes ``neg_residual``.
-    The output is gauge-fixed by the rotation making ``c_1`` real positive.
+    Evaluates ``c_k = (1/2 pi) int z(t(theta)) e^{-ik phi} dphi`` on a
+    uniform phi grid of at least ``4 D`` nodes, where the automorphism sends
+    ``e^{i phi}`` to ``e^{i theta}``, ``theta = phi + 2 arg(1 + center
+    e^{-i phi})`` (Henrici, *Applied and Computational Complex Analysis*
+    vol. 3, 1986); the same samples give the negative-frequency
+    coefficients whose l2 norm becomes ``neg_residual``.  The output is
+    gauge-fixed by the rotation making ``c_1`` real positive.
     """
     if D < 1:
         raise InputError("D must be >= 1")
     inverse = correspondence_inverse(theta_grid)
     Q = max(4 * D, 256)
     theta0 = float(theta_grid[0])
-    thetas = theta0 + 2.0 * np.pi * np.arange(Q) / Q
+    phis = theta0 + 2.0 * np.pi * np.arange(Q) / Q
+    thetas = phis + 2.0 * np.angle(1.0 + center * np.exp(-1j * phis))
     samples = eval_curve(curve, inverse(thetas))
     spectrum = np.fft.fft(samples) / Q
     k_pos = np.arange(D + 1)
@@ -667,7 +672,9 @@ def taylor_from_correspondence(
     return PolynomialMap(coeffs=coeffs, neg_residual=float(np.linalg.norm(neg)))
 
 
-def taylor_coeffs(curve: FourierCurve, sol: ReparamSolution, D: int) -> PolynomialMap:
+def taylor_coeffs(
+    curve: FourierCurve, sol: ReparamSolution, D: int, center: complex = 0j
+) -> PolynomialMap:
     """Taylor coefficients of an accepted solve (see
     :func:`taylor_from_correspondence`), stamped with the solver resolution."""
     if not sol.monotone:
@@ -675,7 +682,7 @@ def taylor_coeffs(curve: FourierCurve, sol: ReparamSolution, D: int) -> Polynomi
             "cannot extract coefficients from a rejected (non-monotone) "
             "correspondence; increase M/P"
         )
-    pmap = taylor_from_correspondence(curve, sol.theta_grid, D)
+    pmap = taylor_from_correspondence(curve, sol.theta_grid, D, center)
     return PolynomialMap(
         coeffs=pmap.coeffs,
         neg_residual=pmap.neg_residual,

@@ -228,6 +228,18 @@ class TestMap:
         cfg = circle_config(tmp_path, M=8000, P=32000)
         assert main(["map", "--config", cfg, "--out", str(tmp_path / "big")]) == 2
 
+    def test_grid_below_256_rejected_before_build(self, tmp_path, monkeypatch, capsys):
+        from cforge import cli
+
+        def no_build(cfg):
+            raise AssertionError("map built")
+
+        monkeypatch.setattr(cli, "_build_map", no_build)
+        out = str(tmp_path / "g")
+        assert main(["map", "--config", circle_config(tmp_path), "--out", out,
+                     "--grid", "255"]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(
             ["map", "--config", str(tmp_path / "nope.json"),

@@ -27,7 +27,7 @@ from cforge.errors import (
     SelfIntersectionError,
 )
 from cforge import geometry_checks, pipelines, reparam_solver
-from cforge.fourier_boundary import eval_curve, horner
+from cforge.fourier_boundary import eval_curve, eval_grid, horner
 from cforge.pipelines import _check_simple, area_centroid, winding_number
 from cforge.suites import planted_oracle_curve
 
@@ -171,6 +171,15 @@ class TestCorner:
         with pytest.raises(SectorViolationError):
             corner_map(cfg)
 
+    def test_t0_reduced_mod_2pi_on_samples(self):
+        cores = []
+        for t0 in (0.0, 2 * np.pi, -2 * np.pi):
+            cfg = fold_config(1, 2, 8, D=16, M=48)
+            cfg = replace(cfg, corner={"t0": t0, "k": 1, "N": 2})
+            cores.append(corner_map(cfg).core.coeffs)
+        assert np.array_equal(cores[1], cores[0])
+        assert np.array_equal(cores[2], cores[0])
+
     def test_corner_requires_declaration(self, unit_circle):
         with pytest.raises(InputError):
             corner_map(PipelineConfig(boundary=unit_circle, M=8, D=4))
@@ -231,6 +240,28 @@ class TestSlender:
         assert all("sup_deviation" not in e for e in rejected)
         assert cm.provenance["slender"]["anchor"] == log[2]["anchor"]
         assert geometry_checks.univalence_check(cm.core, 8 * cm.core.degree) == 0
+
+    def test_pinned_anchor_core_must_be_locally_injective(self):
+        # pinned at the search's fraction-0 anchor, whose core winds 28 times
+        cfg = PipelineConfig(
+            boundary=ellipse_curve(), slender={"a": None}, M=32, P=256, D=64, n_iter=20
+        )
+        log = slender_map(cfg).provenance["slender"]["anchor_search"]
+        pinned = replace(cfg, anchor=complex(*log[0]["anchor"]))
+        with pytest.raises(PipelineError, match="core winding 28: not locally"):
+            slender_map(pinned)
+
+    def test_default_a_follows_rigid_motions(self):
+        # the two tips of the ellipse have equal curvature; rounding must not
+        # decide between them, so the default point moves with the domain
+        def default_a(curve):
+            return pipelines._default_a(curve, eval_grid(curve.ks, curve.cs, 4096))
+
+        a0, shift = default_a(ellipse_curve()), 2.5 * np.exp(0.7j)
+        for k in (13, 23, 25, 28, 31, 117, 300, 511, 700, 1000):
+            rot = np.exp(2j * np.pi * k / 1024)
+            moved = FourierCurve((-1, 0, 1), (0.375 * rot, shift, 0.625 * rot))
+            assert abs(default_a(moved) - (rot * a0 + shift)) < 1e-12
 
     def test_anchor_search_without_injective_core_fails(self, monkeypatch):
         monkeypatch.setattr(geometry_checks, "univalence_check", lambda core, grid: 1)
@@ -319,12 +350,12 @@ class TestSlender:
 
         # Newton on beta^3 - 2 beta + 2 from 0 cycles 0 -> 1 -> 0 exactly
         core = PolynomialMap(coeffs=[0.0, -2.0, 0.0, 1.0], neg_residual=0.0)
-        theta = 2 * np.pi * np.arange(64) / 64
         with pytest.raises(PipelineError, match=r"residual 2\.000e\+00 after 80 steps"):
-            _reanchor(theta, core, 0.0, -2.0)
-        # a reachable target converges and re-anchors
-        again = _reanchor(theta, core, 0.0, -0.5)
-        assert np.all(np.diff(again) > 0)
+            _reanchor(core, 0.0, -2.0)
+        # a reachable target converges to an interior preimage
+        beta = _reanchor(core, 0.0, -0.5)
+        assert abs(beta) < 1
+        assert abs(core(beta) + 0.5) <= pipelines.REANCHOR_TOL * 2.0  # max |coeff|
 
     def test_reanchor_stops_when_newton_leaves_the_disk(self, monkeypatch):
         from cforge.pipelines import _reanchor
@@ -339,9 +370,8 @@ class TestSlender:
         monkeypatch.setattr(pipelines, "horner", counted)
         # Newton on 2 beta - 3 from 0 lands on the preimage 3/2 at once
         core = PolynomialMap(coeffs=[0.0, 2.0], neg_residual=0.0)
-        theta = 2 * np.pi * np.arange(64) / 64
         with pytest.raises(PipelineError, match="left the unit disk at step 1"):
-            _reanchor(theta, core, 0.0, 3.0)
+            _reanchor(core, 0.0, 3.0)
         # value and slope come from one two-row evaluation per step
         assert calls == [(2, 2)]
 

@@ -677,6 +677,39 @@ class TestInvertTheta:
             taylor_coeffs(unit_circle, bad, 4)
 
 
+class TestReanchoredExtraction:
+    """``taylor_from_correspondence`` with a ``center``: the map composed
+    with the disk automorphism sending 0 to ``center``."""
+
+    P, D = 128, 128
+
+    def planted(self):
+        t = 2 * np.pi * np.arange(self.P) / self.P
+        return planted_oracle_curve(), t + 0.3 * np.sin(t)
+
+    @pytest.mark.parametrize("center", [0.7, 0.3 + 0.2j, -0.5j])
+    def test_planted_map_exact(self, center):
+        # F(w) = w + 0.1 w^2 traversed with theta = t + 0.3 sin t; the
+        # re-anchored map is F((zeta + c)/(1 + conj(c) zeta)) - F(c)
+        curve, theta = self.planted()
+        F = lambda w: w + 0.1 * w * w
+        shift = curve.coeff(0) - F(center)
+        moved = FourierCurve.from_coeffs({**curve.coeffs, 0: shift})
+        got = reparam_solver.taylor_from_correspondence(moved, theta, self.D, center)
+        zeta = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        image = F((zeta + center) / (1 + np.conj(center) * zeta)) - F(center)
+        exact = np.fft.fft(image)[: self.D + 1] / 4096
+        exact *= np.exp(-1j * np.arange(self.D + 1) * np.angle(exact[1]))
+        assert np.max(np.abs(got.coeffs - exact)) < 1e-14
+
+    def test_zero_center_is_the_plain_extraction(self):
+        curve, theta = self.planted()
+        plain = reparam_solver.taylor_from_correspondence(curve, theta, self.D)
+        zero = reparam_solver.taylor_from_correspondence(curve, theta, self.D, 0j)
+        assert plain.coeffs.tobytes() == zero.coeffs.tobytes()
+        assert plain.neg_residual == zero.neg_residual
+
+
 class TestCorrespondenceInverse:
     @staticmethod
     def band_limited_theta(shift, amps, phases):
