@@ -110,8 +110,6 @@ def cmd_map(args) -> int:
     t0 = time.perf_counter()
     report = boundary_deviation(cmap, target, grid=args.grid)
     t_check = time.perf_counter() - t0
-    if (winding := report.univalence_winding) != 0:
-        raise PipelineError(f"core winding {winding}: not locally injective")
 
     os.makedirs(args.out, exist_ok=True)
     core_path = os.path.join(args.out, "core.csv")
@@ -128,7 +126,7 @@ def cmd_map(args) -> int:
     manifest = {
         "tool": "cforge",
         "version": __version__,
-        "config": cfg.snapshot(),
+        "config": cmap.provenance["config"],
         "stages": [s.describe() for s in cmap.stages],
         "provenance": cmap.provenance,
         "outputs": {

@@ -22,6 +22,7 @@ reproduced bit for bit.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from numbers import Number, Real
 
@@ -207,21 +208,44 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _re_im(value, ndim: int, message: str) -> np.ndarray:
+    """JSON ``[re, im]`` (``ndim`` 1) or a list of them (``ndim`` 2) as complex."""
+    try:
+        pairs = np.asarray(value)
+    except ValueError:  # ragged
+        raise InputError(message) from None
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != ndim or pairs.shape[-1] != 2:
+        raise InputError(message)
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+
+
+def _known_keys(block: dict, allowed, what: str) -> None:
+    """Raise :class:`InputError` naming a key of ``block`` not in ``allowed``."""
+    unknown = sorted(set(block) - set(allowed), key=str)
+    if unknown:
+        raise InputError(f"unknown {what} key {unknown[0]!r}")
+
+
+# the numeric fields; a JSON config holds these and the four blocks, nothing else
+CONFIG_FIELDS = ("M", "P", "D", "n_iter", "refit_degree", "refit_tol", "sample_grid")
+CONFIG_KEYS = CONFIG_FIELDS + ("boundary", "corner", "slender", "anchor")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Inputs of one pipeline run.
 
     Exactly one of ``corner`` (``{"t0", "k", "N"}``) / ``slender``
     (``{"a": point or None}``) may be set (both empty means the smooth
-    pipeline); malformed blocks raise :class:`InputError`.  ``boundary`` is
-    a FourierCurve; ``samples`` may be given instead (uniform parameters,
-    used directly by the corner pipeline and fitted at ``refit_degree``,
-    within ``refit_tol`` > 0, elsewhere).  Resolution defaults follow the
-    command-line tool: M=64, P=8M, D=4M, n_iter=8.  ``P`` is the
-    correspondence grid and the upper bound of the quadrature grid, which
-    :func:`~cforge.reparam_solver.solve_reparam` drops to ``4M`` when the
-    kernel is resolved there.  Integer fields, corner
-    ``k`` and ``N`` too, must hold integral numbers and are stored as ints.
+    pipeline); malformed blocks and unknown keys raise :class:`InputError`.
+    ``boundary`` is a FourierCurve; ``samples`` may be given instead
+    (uniform parameters, used directly by the corner pipeline and fitted at
+    ``refit_degree``, within ``refit_tol`` > 0, elsewhere).  Resolution
+    defaults follow the command-line tool: M=64, P=8M, D=4M, n_iter=8.
+    ``P`` is the correspondence grid and the upper bound of the quadrature
+    grid, which :func:`~cforge.reparam_solver.solve_reparam` drops to ``4M``
+    when the kernel is resolved there.  Integer fields, corner ``k`` and
+    ``N`` too, must hold integral numbers and are stored as ints.
     """
 
     boundary: FourierCurve | None = None
@@ -242,13 +266,13 @@ class PipelineConfig:
             raise InputError("config needs a boundary curve or samples")
         if self.corner is not None and self.slender is not None:
             raise InputError("corner and slender are mutually exclusive")
-        object.__setattr__(self, "M", _integer(self.M, "M"))
-        if self.P is None:
-            object.__setattr__(self, "P", 8 * self.M)
-        if self.D is None:
-            object.__setattr__(self, "D", 4 * self.M)
-        for key in ("P", "D", "n_iter", "refit_degree", "sample_grid"):
-            object.__setattr__(self, key, _integer(getattr(self, key), key))
+        M = _integer(self.M, "M")
+        defaults = {"P": 8 * M, "D": 4 * M}
+        for key in CONFIG_FIELDS:
+            value = getattr(self, key)
+            if key != "refit_tol":
+                value = _integer(defaults.get(key) if value is None else value, key)
+                object.__setattr__(self, key, value)
         if self.sample_grid <= 0:
             raise InputError(f"sample_grid must be positive, got {self.sample_grid}")
         tol = self.refit_tol
@@ -268,6 +292,7 @@ class PipelineConfig:
                     f"malformed corner {self.corner!r}: t0 must be a number "
                     "and corner k and N must be integers"
                 ) from exc
+            _known_keys(self.corner, corner, "corner")
             object.__setattr__(self, "corner", corner)
         if self.slender is not None:
             if not isinstance(self.slender, dict) or set(self.slender) - {"a"}:
@@ -289,7 +314,7 @@ class PipelineConfig:
     def from_json(payload, base_dir: str = ".") -> "PipelineConfig":
         """Build a config from a JSON string / dict (see docs for the schema).
 
-        Missing or mistyped fields raise :class:`InputError`.
+        Missing or mistyped fields and unknown keys raise :class:`InputError`.
         """
         if isinstance(payload, str):
             payload = io.parse_json(payload, "config JSON")
@@ -297,85 +322,52 @@ class PipelineConfig:
             raise InputError("config JSON must be an object")
         try:
             return PipelineConfig._from_dict(payload, base_dir)
-        except KeyError as exc:
-            raise InputError(f"config is missing the key {exc}") from exc
-        except (IndexError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"malformed config: {exc}") from exc
 
     @staticmethod
     def _from_dict(payload: dict, base_dir: str) -> "PipelineConfig":
-        import os
-
+        _known_keys(payload, CONFIG_KEYS, "config")
         bnd = payload.get("boundary")
-        curve = None
-        samples = None
-        if isinstance(bnd, dict) and "file" in bnd:
-            path = bnd["file"]
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            rows, samples = io.read_boundary(path)
-            if rows is not None:
-                curve = FourierCurve(*zip(*rows))
-        elif isinstance(bnd, dict) and "coeffs" in bnd:
-            curve = FourierCurve.from_coeffs(dict(io.coeffs_from_json(bnd["coeffs"])))
-        elif isinstance(bnd, dict) and "samples" in bnd:
-            samples = np.array(
-                [complex(p[0], p[1]) for p in bnd["samples"]], dtype=complex
-            )
+        keys = sorted(bnd) if isinstance(bnd, dict) else []
+        if keys not in (["coeffs"], ["samples"], ["file"]):
+            raise InputError(f"boundary takes one of coeffs, samples, file; got {keys}")
+        rows, samples = None, None
+        if "file" in bnd:
+            rows, samples = io.read_boundary(os.path.join(base_dir, bnd["file"]))
+        elif "coeffs" in bnd:
+            rows = io.coeffs_from_json(bnd["coeffs"])
         else:
-            raise InputError("config boundary must give coeffs, samples or a file")
+            samples = _re_im(bnd["samples"], 2, "samples must be [re, im] pairs")
         slender = payload.get("slender")
         if slender is not None:
-            if "a_re" in slender:
-                slender = {"a": complex(slender["a_re"], slender.get("a_im", 0.0))}
-            elif "a_im" in slender:
+            _known_keys(slender, ("a_re", "a_im"), "slender")
+            if "a_im" in slender and "a_re" not in slender:
                 raise InputError("slender a_im needs a_re (a_re alone means a_im = 0)")
-            else:
-                slender = {"a": None}
+            if slender:
+                slender = {"a": complex(slender["a_re"], slender.get("a_im", 0.0))}
         anchor = payload.get("anchor")
         if anchor is not None:
-            if not (isinstance(anchor, list) and len(anchor) == 2):
-                raise InputError(f"anchor must be null or [re, im], got {anchor!r}")
-            anchor = complex(*anchor)
-        keys = ("M", "P", "D", "n_iter", "refit_degree", "refit_tol", "sample_grid")
-        kwargs = {key: payload[key] for key in keys if payload.get(key) is not None}
+            anchor = complex(_re_im(anchor, 1, "anchor must be null or [re, im]"))
         return PipelineConfig(
-            boundary=curve,
-            samples=samples,
-            corner=payload.get("corner"),
-            slender=slender,
-            anchor=anchor,
-            **kwargs,
+            boundary=FourierCurve(*zip(*rows)) if rows else None, samples=samples,
+            corner=payload.get("corner"), slender=slender, anchor=anchor,
+            **{k: payload[k] for k in CONFIG_FIELDS if payload.get(k) is not None},
         )
 
     def snapshot(self) -> dict:
         """JSON-serializable snapshot sufficient to re-run the job."""
-        out = {
-            "M": self.M,
-            "P": self.P,
-            "D": self.D,
-            "n_iter": self.n_iter,
-            "refit_degree": self.refit_degree,
-            "refit_tol": self.refit_tol,
-            "sample_grid": self.sample_grid,
-            "corner": self.corner,
-            "slender": None,
-            "anchor": None,
-        }
+        anchor = None if self.anchor is None else [self.anchor.real, self.anchor.imag]
+        out = {key: getattr(self, key) for key in CONFIG_FIELDS}
+        out.update(corner=self.corner, slender=None, anchor=anchor)
         if self.slender is not None:
             a = self.slender["a"]
-            out["slender"] = (
-                {"a_re": a.real, "a_im": a.imag} if a is not None else {}
-            )
-        if self.anchor is not None:
-            out["anchor"] = [self.anchor.real, self.anchor.imag]
-        if self.boundary is not None:
-            out["boundary"] = {
-                "coeffs": io.coeffs_to_json(self.boundary.ks, self.boundary.cs)
-            }
-        else:
-            s = self.samples
-            out["boundary"] = {"samples": np.column_stack([s.real, s.imag]).tolist()}
+            out["slender"] = {} if a is None else {"a_re": a.real, "a_im": a.imag}
+        b, s = self.boundary, self.samples
+        if b is not None:
+            out["boundary"] = {"coeffs": io.coeffs_to_json(b.ks, b.cs)}
+        else:  # the inverse of the reader's [re, im] view
+            out["boundary"] = {"samples": s.view(float).reshape(-1, 2).tolist()}
         return out
 
 
@@ -541,6 +533,15 @@ def _fold(cfg: PipelineConfig, k: int, N: int, pivot, direction, anchor):
     return construction, stages
 
 
+def _check_injective(core: PolynomialMap) -> None:
+    """Raise :class:`PipelineError` if ``core`` is not locally injective."""
+    from . import geometry_checks  # it imports this module
+
+    winding = geometry_checks.univalence_check(core, max(8 * core.degree, 256))
+    if winding != 0:
+        raise PipelineError(f"core winding {winding}: not locally injective")
+
+
 def _solve_core(curve: FourierCurve, anchor: complex, cfg: PipelineConfig):
     """``(sol, core)``: the reparametrization solve of ``curve`` with
     ``anchor`` moved to the origin, and its Taylor core."""
@@ -552,10 +553,11 @@ def _solve_core(curve: FourierCurve, anchor: complex, cfg: PipelineConfig):
 def _composed(
     kind: str, cfg: PipelineConfig, curve, construction, stages, sol, core, **extra
 ) -> ComposedMap:
-    """The composed map with its provenance: the config snapshot, the
-    described ``construction`` transforms (domain to solved ``curve``), the
-    solver diagnostics with the solved support, the quadrature grid and its
-    kernel tail, and the pipeline's own ``extra`` entries."""
+    """The composed map with its provenance (config snapshot, described
+    ``construction`` transforms from domain to solved ``curve``, solver
+    diagnostics with the solved support, quadrature grid and kernel tail,
+    ``extra`` entries); a core that is not locally injective raises PipelineError."""
+    _check_injective(core)
     provenance = {
         "kind": kind,
         "config": cfg.snapshot(),
@@ -705,7 +707,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     base_anchor = PlaneTransform("power", (2, 1))((curve.coeff(0) - a) / direction)
     _, u_centroid = area_centroid(squared)
     sol, base_core = _solve_core(squared_curve, base_anchor, cfg)
-    from .geometry_checks import boundary_distances, univalence_check
+    from .geometry_checks import boundary_distances
 
     def core_at(anchor: complex) -> PolynomialMap:
         # every candidate samples the one solve through a disk automorphism
@@ -713,9 +715,7 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
         if anchor != base_anchor:
             center = _reanchor(base_core, base_anchor, anchor)
             core = taylor_coeffs(_translate(squared_curve, -anchor), sol, cfg.D, center)
-        winding = univalence_check(core, max(8 * core.degree, 256))
-        if winding != 0:
-            raise PipelineError(f"core winding {winding}: not locally injective")
+        _check_injective(core)
         return core
 
     search_log = []

@@ -125,7 +125,8 @@ class ReparamSolution:
     ``monotone`` records whether ``theta`` is strictly increasing; only
     monotone solutions are accepted downstream.  ``assembly_P`` is the
     quadrature grid the system was assembled on and ``kernel_tail`` its
-    :attr:`BlockSystem.tail`.
+    :attr:`BlockSystem.tail`.  ``condition`` is LAPACK's 1-norm estimate at
+    12 significant digits: its last bits differ between identical calls.
     """
 
     M: int
@@ -582,7 +583,7 @@ def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
         theta_grid=theta,
         grid_size=P,
         monotone=monotone,
-        condition=cond,
+        condition=float(f"{cond:.12g}"),
         assembly_P=grid,
         kernel_tail=system.tail,
     )

@@ -188,7 +188,7 @@ class TestMap:
         monkeypatch.setattr(geometry_checks, "univalence_check", lambda core, grid: 3)
         coeffs = [{"k": -1, "re": 0.375, "im": 0.0}, {"k": 1, "re": 0.625, "im": 0.0}]
         cfg = circle_config(
-            tmp_path, boundary={"coeffs": coeffs}, slender={"a": None},
+            tmp_path, boundary={"coeffs": coeffs}, slender={},
             M=32, P=256, D=64, n_iter=20,
         )
         assert main(["map", "--config", cfg, "--out", str(tmp_path / "o5")]) == 5
@@ -294,6 +294,45 @@ class TestMap:
         assert "anchor must be null or [re, im]" in capsys.readouterr().err
         assert not (tmp_path / "o8" / "manifest.json").exists()
 
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"Dee": 5}, "'Dee'"),
+            ({"slender": {"a_r": -1.0}}, "'a_r'"),
+            ({"slender": {"a": [-1.04, 0]}}, "'a'"),
+            ({"corner": {"t0": 0.0, "k": 1, "N": 2, "kk": 1}}, "'kk'"),
+            ({"boundary": {"coeffs": [{"k": 1, "re": 1.0, "im": 0.0}],
+                           "file": "curve.csv"}}, "['coeffs', 'file']"),
+        ],
+    )
+    def test_unknown_key_exit_2(self, tmp_path, capsys, overrides, named):
+        cfg = circle_config(tmp_path, **overrides)
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "ok")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and named in err
+        assert not (tmp_path / "ok" / "manifest.json").exists()
+
+    def test_inline_duplicate_index_exit_2(self, tmp_path, capsys):
+        rows = [(1, 1.0), (1, 0.5), (-1, 0.2)]
+        coeffs = [{"k": k, "re": v, "im": 0.0} for k, v in rows]
+        cfg = circle_config(tmp_path, boundary={"coeffs": coeffs})
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "dk")]) == 2
+        assert "duplicate coefficient index" in capsys.readouterr().err
+
+    def test_inline_sample_not_a_pair_exit_2(self, tmp_path, capsys):
+        t = 2 * np.pi * np.arange(64) / 64
+        samples = [[np.cos(v), 0.25 * np.sin(v)] for v in t]
+        samples[5] = [0, 1, 5]
+        cfg = circle_config(tmp_path, boundary={"samples": samples})
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "sp")]) == 2
+        assert "samples must be [re, im] pairs" in capsys.readouterr().err
+
+    def test_manifest_config_is_the_pipeline_snapshot(self, tmp_path):
+        out = tmp_path / "snap"
+        assert main(["map", "--config", circle_config(tmp_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == manifest["provenance"]["config"]
 
     def test_slender_a_im_without_a_re_exit_2(self, tmp_path, capsys):
         cfg = circle_config(tmp_path, slender={"a_im": 1.5})

@@ -34,6 +34,9 @@ from cforge.suites import planted_oracle_curve
 from contours import corner_contour, ellipse_curve
 
 
+CIRCLE = [{"k": 1, "re": 1.0, "im": 0.0}]
+
+
 def fold_config(k, N, n_iter, D=50, M=96, refit=48, samples=4096):
     t = 2 * np.pi * np.arange(samples) / samples
     return PipelineConfig(
@@ -683,6 +686,7 @@ class TestConfigJson:
             ({"slender": -1.3}, "slender must be"),
             ({"corner": {"t0": 0, "k": 1.5, "N": 2}}, "must be integers"),
             ({"corner": {"t0": 0, "k": 1, "N": 2.9}}, "must be integers"),
+            ({"corner": {"t0": 0, "k": 1, "N": 2, "n": 3}}, "unknown corner key 'n'"),
         ],
     )
     def test_python_blocks_checked(self, block, match):
@@ -749,6 +753,102 @@ class TestConfigJson:
         cfg = PipelineConfig.from_json(json.dumps({**payload, "slender": {"a_re": -2.0}}))
         assert cfg.slender == {"a": -2.0 + 0.0j}
         assert cfg.snapshot()["slender"] == {"a_re": -2.0, "a_im": 0.0}
+
+
+    def test_snapshot_writes_the_keys_the_reader_accepts(self, unit_circle):
+        t = 2 * np.pi * np.arange(64) / 64
+        for cfg in (
+            PipelineConfig(boundary=unit_circle),
+            PipelineConfig(samples=np.exp(1j * t), corner={"t0": 0.0, "k": 1, "N": 2}),
+            PipelineConfig(boundary=unit_circle, slender={"a": -2.0}, anchor=4.0),
+            PipelineConfig(boundary=unit_circle, slender={}),
+        ):
+            assert set(cfg.snapshot()) == set(pipelines.CONFIG_KEYS)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"Dee": 5}, "unknown config key 'Dee'"),
+            ({"slender": {"a_r": -1.0}}, "unknown slender key 'a_r'"),
+            ({"slender": {"a": [-1.04, 0]}}, "unknown slender key 'a'"),
+            ({"slender": {"a": None}}, "unknown slender key 'a'"),
+            ({"corner": {"t0": 0.0, "k": 1, "N": 2, "N2": 3}}, "unknown corner key 'N2'"),
+            ({"boundary": {"coeffs": CIRCLE, "file": "c.csv"}}, r"\['coeffs', 'file'\]"),
+            ({"boundary": {"coeffs": CIRCLE, "samples": [[1, 0]]}}, "one of coeffs"),
+            ({"boundary": {"coeff": CIRCLE}}, r"got \['coeff'\]"),
+            ({"boundary": {}}, "one of coeffs"),
+            ({"boundary": None}, "one of coeffs"),
+        ],
+    )
+    def test_json_unknown_keys_rejected(self, change, match):
+        payload = {"boundary": {"coeffs": CIRCLE}, **change}
+        with pytest.raises(InputError, match=match):
+            PipelineConfig.from_json(json.dumps(payload))
+
+    def test_json_inline_duplicate_index_rejected(self):
+        # a curve file with these rows is refused the same way
+        rows = [(1, 1.0), (1, 0.5), (-1, 0.2)]
+        coeffs = [{"k": k, "re": v, "im": 0.0} for k, v in rows]
+        with pytest.raises(InputError, match="duplicate coefficient index"):
+            PipelineConfig.from_json(json.dumps({"boundary": {"coeffs": coeffs}}))
+
+    @pytest.mark.parametrize(
+        "bad", [[0, 1, 5], [0], ["0", "1"], None, 1.0, {"re": 0, "im": 1}]
+    )
+    def test_json_inline_sample_not_a_pair_rejected(self, bad):
+        t = 2 * np.pi * np.arange(8) / 8
+        samples = [[np.cos(v), np.sin(v)] for v in t]
+        samples[3] = bad
+        with pytest.raises(InputError, match=r"samples must be \[re, im\] pairs"):
+            PipelineConfig.from_json(json.dumps({"boundary": {"samples": samples}}))
+        with pytest.raises(InputError, match=r"samples must be \[re, im\] pairs"):
+            PipelineConfig.from_json(json.dumps({"boundary": {"samples": []}}))
+
+    def test_json_samples_keep_every_bit(self):
+        # the [re, im] decoder keeps signed zeros and subnormals
+        pairs = [[-0.0, 1.0], [5e-324, -0.0], [1.0, 2.0 ** -60]]
+        cfg = PipelineConfig.from_json(json.dumps({"boundary": {"samples": pairs}}))
+        assert json.dumps(cfg.snapshot()["boundary"]["samples"]) == json.dumps(pairs)
+
+    @pytest.mark.parametrize("anchor", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [True, False]])
+    def test_json_anchor_not_a_pair_rejected(self, anchor):
+        payload = {"boundary": {"coeffs": CIRCLE}, "slender": {}, "anchor": anchor}
+        with pytest.raises(InputError, match=r"anchor must be null or \[re, im\]"):
+            PipelineConfig.from_json(json.dumps(payload))
+
+
+class TestUnivalenceGate:
+    """Every pipeline refuses a core whose derivative has zeros in the disk."""
+
+    def test_smooth_8_to_1_ellipse_rejected(self):
+        cfg = PipelineConfig(
+            boundary=FourierCurve((-1, 1), (0.4375, 0.5625)), M=150, P=600, D=4000
+        )
+        with pytest.raises(PipelineError, match="core winding 3998: not locally"):
+            smooth_map(cfg)
+
+    @pytest.mark.parametrize("kind", ["smooth", "corner"])
+    def test_gate_runs_in_every_pipeline(self, kind, monkeypatch):
+        build, make = BACKBONE_CASES[kind]
+        cfg = make()
+        monkeypatch.setattr(geometry_checks, "univalence_check", lambda core, grid: 2)
+        with pytest.raises(PipelineError, match="core winding 2: not locally injective"):
+            build(cfg)
+
+    def test_condition_recorded_at_12_digits(self):
+        # the benchmark's corner input: LAPACK's estimate varied in its last
+        # bits between identical calls while the system was bit-equal
+        rng = np.random.default_rng(1)
+        rot = np.exp(2j * np.pi * int(rng.integers(1024)) / 1024)
+        shift = rng.uniform(2.0, 3.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        cfg = replace(
+            fold_config(1, 2, 11, D=50, M=128, refit=64),
+            samples=rot * fold_config(1, 2, 11).samples + shift,
+        )
+        conds = {corner_map(cfg).provenance["solver"]["condition"] for _ in range(6)}
+        assert len(conds) == 1
+        cond = conds.pop()
+        assert cond == float(f"{cond:.12g}")
 
 
 class TestGuardPaths:
