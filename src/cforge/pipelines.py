@@ -22,6 +22,7 @@ reproduced bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from numbers import Number, Real
@@ -196,7 +197,7 @@ def evaluate_composed(cmap: ComposedMap, zeta):
 def _point(value, what: str) -> complex:
     """``value`` as a complex point; booleans and non-numbers are bad input."""
     if isinstance(value, bool) or not isinstance(value, Number):
-        raise InputError(f"{what} must be a point or None, got {value!r}")
+        raise InputError(f"{what} must be a point, got {value!r}")
     return complex(value)
 
 
@@ -209,12 +210,17 @@ def _integer(value, what: str) -> int:
 
 
 def _re_im(value, ndim: int, message: str) -> np.ndarray:
-    """JSON ``[re, im]`` (``ndim`` 1) or a list of them (``ndim`` 2) as complex."""
+    """JSON ``[re, im]`` (``ndim`` 1) or a list of them (``ndim`` 2) as
+    complex; a boolean anywhere is bad input."""
     try:
         pairs = np.asarray(value)
     except ValueError:  # ragged
         raise InputError(message) from None
     if pairs.dtype.kind not in "iuf" or pairs.ndim != ndim or pairs.shape[-1] != 2:
+        raise InputError(message)
+    # numpy reads true/false as 1/0 next to numbers
+    parts = value if ndim == 1 else itertools.chain.from_iterable(value)
+    if bool in map(type, parts):
         raise InputError(message)
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
@@ -345,7 +351,11 @@ class PipelineConfig:
             if "a_im" in slender and "a_re" not in slender:
                 raise InputError("slender a_im needs a_re (a_re alone means a_im = 0)")
             if slender:
-                slender = {"a": complex(slender["a_re"], slender.get("a_im", 0.0))}
+                re, im = (
+                    _point(slender.get(key, 0.0), f"slender {key}").real
+                    for key in ("a_re", "a_im")
+                )
+                slender = {"a": complex(re, im)}
         anchor = payload.get("anchor")
         if anchor is not None:
             anchor = complex(_re_im(anchor, 1, "anchor must be null or [re, im]"))
@@ -556,8 +566,8 @@ def _composed(
     """The composed map with its provenance (config snapshot, described
     ``construction`` transforms from domain to solved ``curve``, solver
     diagnostics with the solved support, quadrature grid and kernel tail,
-    ``extra`` entries); a core that is not locally injective raises PipelineError."""
-    _check_injective(core)
+    ``extra`` entries).  Each pipeline gates its core with
+    :func:`_check_injective` where it makes it."""
     provenance = {
         "kind": kind,
         "config": cfg.snapshot(),
@@ -600,6 +610,7 @@ def smooth_map(cfg: PipelineConfig) -> ComposedMap:
     )
     centroid = 0.0j if encloses else curve.coeff(0)
     sol, core = _solve_core(curve, centroid, cfg)
+    _check_injective(core)
     stages = [PlaneTransform("affine", (1.0, centroid))] if centroid != 0 else []
     construction = [PlaneTransform("affine", (1.0, -centroid))]
     refit = {} if resid is None else {"refit_deviation": resid}
@@ -633,6 +644,7 @@ def corner_map(cfg: PipelineConfig) -> ComposedMap:
     straight_curve, refit_resid = _refit(cfg, straightened, "straightened boundary")
     _, anchor = area_centroid(straightened)
     sol, core = _solve_core(straight_curve, anchor, cfg)
+    _check_injective(core)
     construction, stages = _fold(cfg, k, N, z0, direction, anchor)
     corner = {
         "t0": t0,

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +85,8 @@ QUOTIENT_TOL = 1e-13
 # largest peak memory assemble_system and the solve may take
 ASSEMBLY_MAX_BYTES = 4 * 2**30
 # bytes of one block of complex kernel rows streamed by assembly: the
-# block's four real buffers stay in the L2 cache
+# block's four real buffers stay in the L2 cache; the correspondence
+# inverse's certificate streams its midpoints in blocks sized from it
 ASSEMBLY_BLOCK_BYTES = 2**20
 # chords within this many grid steps of the diagonal come from their own
 # spectrum: the difference of node values cancels there
@@ -93,9 +95,10 @@ NEAR_DIAGONALS = 32
 # envelope at the first aliased mode relative to their kept band, is at
 # most this (see assemble_system)
 KERNEL_TAIL_TOL = 1e-13
-# largest |theta(t) - theta*| the correspondence inverse may leave
+# the correspondence inverse's certified residual theta' |t - t(theta)|
+# must be below this
 INVERSE_TOL = 1e-10
-# samples per grid interval in the inverse's seed table
+# table nodes per grid interval of the correspondence inverse
 INVERSE_UPSAMPLE = 16
 
 
@@ -127,6 +130,8 @@ class ReparamSolution:
     quadrature grid the system was assembled on and ``kernel_tail`` its
     :attr:`BlockSystem.tail`.  ``condition`` is LAPACK's 1-norm estimate at
     12 significant digits: its last bits differ between identical calls.
+    ``inverse`` is the certified inverse of ``theta_grid``, built on first
+    use and kept with the solve.
     """
 
     M: int
@@ -147,6 +152,11 @@ class ReparamSolution:
         """Trigonometric interpolant of ``theta`` at arbitrary parameters."""
         c = _half_spectrum(self.theta_grid - _grid(self.grid_size))
         return np.asarray(t, dtype=float) + _series_at(c, t)
+
+    @cached_property
+    def inverse(self):
+        """:func:`correspondence_inverse` of ``theta_grid``, one per solve."""
+        return correspondence_inverse(self.theta_grid)
 
 
 @dataclass(frozen=True)
@@ -217,10 +227,14 @@ def _series_at(c: np.ndarray, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _series_on_grid(c: np.ndarray, n: int) -> np.ndarray:
+def _series_on_grid(c: np.ndarray, n: int, out=None) -> np.ndarray:
     """``Re sum_p c_p e^{ipt}`` at the ``n`` uniform nodes by one inverse
-    real FFT.  Needs ``n > 2 max p``: a mode at ``n/2`` would count once."""
-    return 0.5 * (np.fft.irfft(c, n, norm="forward") + c[0].real)
+    real FFT, into ``out`` when given.  Needs ``n > 2 max p``: a mode at
+    ``n/2`` would count once."""
+    values = np.fft.irfft(c, n, norm="forward", out=out)
+    values += c[0].real
+    values *= 0.5
+    return values
 
 
 def _block_rows(P: int) -> int:
@@ -589,63 +603,149 @@ def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
     )
 
 
-def correspondence_inverse(theta_grid: np.ndarray):
-    """Monotone inverse ``t(theta)`` of a strictly increasing correspondence.
+_NOT_INCREASING = "correspondence is not strictly increasing: it has no inverse"
 
-    ``theta_grid`` holds ``theta`` at ``len(theta_grid)`` uniform parameters.
-    A seed table samples the trigonometric interpolant of ``theta(t) - t``
-    ``INVERSE_UPSAMPLE`` times finer (one zero-padded inverse real FFT),
-    closed by ``theta_0 + 2 pi`` and made monotone.  Each query is seeded by
-    linear interpolation in that table and polished by 2 Newton steps on
-    the exact interpolant (value and slope from one shared power table),
-    each clipped to the seed's table interval widened by one table step.  A final residual ``max|theta(t) - theta*|``
-    above ``INVERSE_TOL`` raises :class:`SolverError`.  The inverse
-    satisfies ``t(theta + 2 pi) = t(theta) + 2 pi``.
+
+def _inverse_table(c: np.ndarray, n: int):
+    """``(table, mid)`` for the correspondence whose ``theta(t) - t`` has
+    half spectrum ``c``: ``table[:, j]`` holds ``theta``, ``t' = 1/theta'``
+    and ``t'' = -theta''/theta'^3`` at ``t_j = 2 pi j/n``, ``j = 0..n``
+    (closed by ``theta_n = theta_0 + 2 pi``), and ``mid`` holds
+    ``theta - t`` at the midpoints, the odd nodes of the ``2n`` grid: one
+    inverse real FFT each, the midpoints' of the half-step-shifted
+    spectrum.  A ``theta'`` that is not positive at every node raises
+    :class:`SolverError`."""
+    p = np.arange(len(c))
+    table = np.empty((3, n + 1))
+    theta, slope, d2t = table[:, :n]
+    mid = np.empty(n)
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
+    for row, scale in (
+        (theta, 1.0),
+        (slope, 1j * p),
+        (d2t, -(p * p)),
+        (mid, np.exp(1j * np.pi / n * p)),
+    ):
+        np.multiply(c, scale, out=spectrum[: len(c)])
+        _series_on_grid(spectrum, n, out=row)
+    theta += _grid(n)
+    table[0, n] = table[0, 0] + 2.0 * np.pi
+    slope += 1.0
+    if not np.min(slope) > 0.0:
+        raise SolverError(_NOT_INCREASING)
+    dt = np.divide(1.0, slope, out=slope)
+    # theta'' times -t'^3
+    d2t *= dt
+    d2t *= dt
+    d2t *= -dt
+    table[1:, n] = table[1:, 0]
+    return table, mid
+
+
+def _hermite(lo: np.ndarray, hi: np.ndarray, x, j, h: float):
+    """``t(x)`` for ``x`` between the :func:`_inverse_table` columns ``lo``
+    and ``hi`` of nodes ``j`` and ``j + 1``: the quintic Hermite
+    interpolant through them, by Horner in the fraction ``s`` of the
+    interval and added to ``t_j = j h`` so the sum keeps ``t``'s last
+    bits."""
+    w = hi[0] - lo[0]
+    s = (x - lo[0]) / w
+    # the first and second derivatives in s at the two ends, d0, d1 and
+    # e0/2, e1/2, and the coefficients a5, a4, a3 of s^5, s^4, s^3
+    d0, d1 = w * lo[1], w * hi[1]
+    w *= 0.5 * w
+    e0, e1 = w * lo[2], w * hi[2]
+    u, v = d0 + d1, e1 - e0
+    a5 = 6.0 * h - 3.0 * u + v
+    a4 = 8.0 * u - 15.0 * h - d1 - 2.0 * v + e0
+    a3 = 10.0 * h - 4.0 * u - 2.0 * d0 + v - 2.0 * e0
+    return j * h + ((((a5 * s + a4) * s + a3) * s + e0) * s + d0) * s
+
+
+def _inverse_residual(table: np.ndarray, mid: np.ndarray) -> float:
+    """``max theta' |t_herm - t|`` over the table's ``n`` midpoints ``t``,
+    ``theta'`` the larger end slope of each interval, in blocks of
+    ``ASSEMBLY_BLOCK_BYTES / 256`` midpoints whose temporaries (about 20
+    floats each) stay in the cache.  A midpoint outside its interval, so
+    a ``theta`` that is not strictly increasing, raises
+    :class:`SolverError`."""
+    n = len(mid)
+    h = 2.0 * np.pi / n
+    residual = 0.0
+    block = ASSEMBLY_BLOCK_BYTES // 256
+    for k0 in range(0, n, block):
+        k1 = min(n, k0 + block)
+        lo, hi = table[:, k0:k1], table[:, k0 + 1 : k1 + 1]
+        j = np.arange(k0, k1)
+        t = (j + 0.5) * h
+        x = t + mid[k0:k1]
+        if not np.all((lo[0] < x) & (x < hi[0])):
+            raise SolverError(_NOT_INCREASING)
+        err = np.abs(_hermite(lo, hi, x, j, h) - t)
+        err /= np.minimum(lo[1], hi[1])
+        residual = max(residual, float(np.max(err)))
+    return residual
+
+
+def correspondence_inverse(theta_grid: np.ndarray):
+    """Inverse ``t(theta)`` of a strictly increasing correspondence, from a
+    certified table; returns the query callable.
+
+    ``theta_grid`` holds ``theta`` at ``P = len(theta_grid)`` uniform
+    parameters.  The table (:func:`_inverse_table`) samples the
+    trigonometric interpolant of ``theta``, its slope and its curvature on
+    ``n = INVERSE_UPSAMPLE P`` nodes; a ``theta`` that is not strictly
+    increasing raises :class:`SolverError`.  A query is reduced by whole
+    turns and answered by one ``searchsorted`` and a quintic Hermite
+    interpolant of ``t(theta)`` (:func:`_hermite`), so
+    ``t(theta + 2 pi) = t(theta) + 2 pi``.
+
+    The table is certified once, here: its residual ``theta' |t_herm - t|``
+    at the ``n`` midpoints (:func:`_inverse_residual`) must be below
+    ``INVERSE_TOL``.  A table that misses it is rebuilt on twice the nodes,
+    up to ``INVERSE_UPSAMPLE^2 P`` (a slope near 0 at a small ``P`` needs
+    the finer table); above that the residual raises :class:`SolverError`.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     P = len(theta_grid)
-    theta0 = theta_grid[0]
     c = _half_spectrum(theta_grid - _grid(P))
-    # theta - t and its slope, one row each
-    c_dc = np.stack([c, 1j * np.arange(len(c)) * c])
-
-    fine = INVERSE_UPSAMPLE * P
-    t_tab = _grid(fine)
-    th_tab = t_tab + _series_on_grid(c, fine)
-    t_tab = np.append(t_tab, 2.0 * np.pi)
-    th_tab = np.maximum.accumulate(np.append(th_tab, theta0 + 2.0 * np.pi))
-    h = 2.0 * np.pi / fine
+    n = INVERSE_UPSAMPLE * P
+    while True:
+        table, mid = _inverse_table(c, n)
+        residual = _inverse_residual(table, mid)
+        if residual < INVERSE_TOL:
+            break
+        if n >= INVERSE_UPSAMPLE**2 * P:
+            raise SolverError(
+                f"correspondence inverse residual {residual:.3e} on {n} nodes "
+                f"is not below {INVERSE_TOL:.1e}"
+            )
+        n *= 2
+    nodes, h = table[0], 2.0 * np.pi / n
 
     def inverse(theta):
         theta = np.asarray(theta, dtype=float)
-        scalar = theta.ndim == 0
-        th = np.atleast_1d(theta).astype(float)
-        turns = np.floor((th - theta0) / (2.0 * np.pi))
-        th_red = th - 2.0 * np.pi * turns
-        t = np.interp(th_red, th_tab, t_tab)
-        j = np.clip(np.floor(t / h), 0, fine - 1)
-        lo, hi = (j - 1.0) * h, (j + 2.0) * h
-        for _ in range(2):
-            value, slope = _series_at(c_dc, t)
-            t = np.clip(t - (t + value - th_red) / (1.0 + slope), lo, hi)
-        resid = float(np.max(np.abs(t + _series_at(c, t) - th_red), initial=0.0))
-        if not resid <= INVERSE_TOL:
-            raise SolverError(
-                f"correspondence inverse residual {resid:.3e} "
-                f"exceeds {INVERSE_TOL:.1e}"
-            )
-        t = t + 2.0 * np.pi * turns
-        return float(t[0]) if scalar else t
+        turns = np.floor((theta - nodes[0]) / (2.0 * np.pi))
+        x = theta - 2.0 * np.pi * turns
+        j = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, n - 1)
+        t = _hermite(table[:, j], table[:, j + 1], x, j, h) + 2.0 * np.pi * turns
+        return float(t) if np.ndim(t) == 0 else t
 
     return inverse
 
 
 def taylor_from_correspondence(
-    curve: FourierCurve, theta_grid: np.ndarray, D: int, center: complex = 0j
+    curve: FourierCurve,
+    theta_grid: np.ndarray,
+    D: int,
+    center: complex = 0j,
+    inverse=None,
 ) -> PolynomialMap:
     """Taylor coefficients of the disk map with boundary correspondence
     ``theta_grid`` (values at uniform curve parameters), composed with the
     disk automorphism ``zeta -> (zeta + center)/(1 + conj(center) zeta)``.
+    ``inverse`` is the grid's :func:`correspondence_inverse`, built here
+    when not given.
 
     Evaluates ``c_k = (1/2 pi) int z(t(theta)) e^{-ik phi} dphi`` on a
     uniform phi grid of at least ``4 D`` nodes, where the automorphism sends
@@ -657,7 +757,8 @@ def taylor_from_correspondence(
     """
     if D < 1:
         raise InputError("D must be >= 1")
-    inverse = correspondence_inverse(theta_grid)
+    if inverse is None:
+        inverse = correspondence_inverse(theta_grid)
     Q = max(4 * D, 256)
     theta0 = float(theta_grid[0])
     phis = theta0 + 2.0 * np.pi * np.arange(Q) / Q
@@ -677,13 +778,14 @@ def taylor_coeffs(
     curve: FourierCurve, sol: ReparamSolution, D: int, center: complex = 0j
 ) -> PolynomialMap:
     """Taylor coefficients of an accepted solve (see
-    :func:`taylor_from_correspondence`), stamped with the solver resolution."""
+    :func:`taylor_from_correspondence`) from its one inverse table, stamped
+    with the solver resolution."""
     if not sol.monotone:
         raise NonMonotoneThetaError(
             "cannot extract coefficients from a rejected (non-monotone) "
             "correspondence; increase M/P"
         )
-    pmap = taylor_from_correspondence(curve, sol.theta_grid, D, center)
+    pmap = taylor_from_correspondence(curve, sol.theta_grid, D, center, sol.inverse)
     return PolynomialMap(
         coeffs=pmap.coeffs,
         neg_residual=pmap.neg_residual,

@@ -754,6 +754,23 @@ class TestConfigJson:
         assert cfg.slender == {"a": -2.0 + 0.0j}
         assert cfg.snapshot()["slender"] == {"a_re": -2.0, "a_im": 0.0}
 
+    def test_json_boolean_sample_rejected(self):
+        # numpy reads [true, false] as 1+0j next to float pairs
+        samples = [[1.0, 0.0], [True, False], [0.0, 1.0]]
+        payload = {"boundary": {"samples": samples}, "corner": {"t0": 0, "k": 1, "N": 2}}
+        with pytest.raises(InputError, match="samples must be"):
+            PipelineConfig.from_json(json.dumps(payload))
+
+    def test_json_boolean_slender_a_re_rejected(self):
+        payload = {"boundary": {"coeffs": CIRCLE}, "slender": {"a_re": True}}
+        with pytest.raises(InputError, match="slender a_re must be a point"):
+            PipelineConfig.from_json(json.dumps(payload))
+
+    def test_json_boolean_slender_a_im_rejected(self):
+        payload = {"boundary": {"coeffs": CIRCLE}, "slender": {"a_re": -1.3, "a_im": False}}
+        with pytest.raises(InputError, match="slender a_im must be a point"):
+            PipelineConfig.from_json(json.dumps(payload))
+
 
     def test_snapshot_writes_the_keys_the_reader_accepts(self, unit_circle):
         t = 2 * np.pi * np.arange(64) / 64

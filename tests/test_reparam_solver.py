@@ -710,6 +710,34 @@ class TestReanchoredExtraction:
         assert plain.neg_residual == zero.neg_residual
 
 
+class TestOneTablePerSolve:
+    """Every Taylor extraction of one solve shares its inverse table."""
+
+    def test_slender_build_constructs_one_table(self, monkeypatch):
+        from cforge import pipelines
+
+        calls = {"table": 0, "extract": 0}
+        build = reparam_solver.correspondence_inverse
+        extract = reparam_solver.taylor_from_correspondence
+
+        def counted_build(*args, **kwargs):
+            calls["table"] += 1
+            return build(*args, **kwargs)
+
+        def counted_extract(*args, **kwargs):
+            calls["extract"] += 1
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(reparam_solver, "correspondence_inverse", counted_build)
+        monkeypatch.setattr(reparam_solver, "taylor_from_correspondence", counted_extract)
+        cfg = pipelines.PipelineConfig(
+            boundary=_ellipse(), slender={"a": None}, M=32, P=256, D=128, n_iter=20
+        )
+        pipelines.slender_map(cfg)
+        # the base core plus one per re-anchored candidate, from one table
+        assert calls == {"table": 1, "extract": len(pipelines.ANCHOR_FRACTIONS)}
+
+
 class TestCorrespondenceInverse:
     @staticmethod
     def band_limited_theta(shift, amps, phases):
@@ -737,7 +765,8 @@ class TestCorrespondenceInverse:
         # scale the modes so that min theta' >= slack
         ks = np.arange(1, len(weights) + 1)
         mass = float(np.sum(ks * np.abs(weights)))
-        amps = np.asarray(weights) * ((1.0 - slack) / mass if mass > 0 else 0.0)
+        # weights over mass first: (1 - slack)/mass overflows for a subnormal mass
+        amps = np.asarray(weights) / (mass if mass > 0 else 1.0) * (1.0 - slack)
         theta = self.band_limited_theta(shift, amps, phase * ks)
         inv = correspondence_inverse(theta(2 * np.pi * np.arange(P) / P))
         th = np.asarray(queries)
@@ -748,29 +777,25 @@ class TestCorrespondenceInverse:
         assert abs(float(theta(t0)) - th[0]) <= INVERSE_TOL
 
     def test_tolerance_zero_raises(self, monkeypatch):
+        # the certificate is strict: no table reaches a residual below 0
         theta = self.band_limited_theta(0.0, [0.3], [0.0])
-        inv = correspondence_inverse(theta(2 * np.pi * np.arange(64) / 64))
         monkeypatch.setattr(reparam_solver, "INVERSE_TOL", 0.0)
         with pytest.raises(SolverError, match="residual"):
-            inv(np.linspace(-7.0, 7.0, 101))
+            correspondence_inverse(theta(2 * np.pi * np.arange(64) / 64))
 
-    def test_one_table_matches_separate_series(self, monkeypatch):
-        # the Newton steps take theta - t and its slope from one power table:
-        # the inverse equals the one that evaluates each series alone
-        theta = self.band_limited_theta(0.4, [0.3, -0.1, 0.05], [0.0, 1.0, 2.0])
-        grid = theta(2 * np.pi * np.arange(128) / 128)
-        th = np.linspace(-7.0, 7.0, 401)
-        shared = correspondence_inverse(grid)(th)
-        series_at = reparam_solver._series_at
-
-        def separate(c, t):
-            if np.ndim(c) == 2:
-                return np.stack([series_at(row, t) for row in c])
-            return series_at(c, t)
-
-        monkeypatch.setattr(reparam_solver, "_series_at", separate)
-        alone = correspondence_inverse(grid)(th)
-        assert np.max(np.abs(shared - alone)) <= 4 * np.finfo(float).eps * 7.0
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            # a step back, and a closing step theta_0 + 2 pi - theta_{P-1} < 0
+            [0.0, 2.0, 1.0, 4.0],
+            [0.0, 1.5, 3.0, 4.5, 6.0, 7.0],
+            # increasing nodes whose interpolant turns back in between
+            np.arange(8) * np.pi / 4 + 1.02 * np.sin((np.arange(8) + 0.5) * np.pi / 4),
+        ],
+    )
+    def test_non_increasing_grid_raises(self, grid):
+        with pytest.raises(SolverError, match="not strictly increasing"):
+            correspondence_inverse(np.asarray(grid))
 
     def test_steep_monotone_theta(self):
         # theta' = 1 + 0.999 cos t drops to 1e-3 at t = pi
@@ -831,10 +856,20 @@ class TestProperties:
             assert sol.monotone
             assert np.max(np.abs(dev)) < 1e-5
 
-    def test_neg_residual_decreases_with_M(self):
+    def test_planted_neg_residual_at_round_off(self):
+        # the planted curve is solved exactly at every M: its residual is
+        # round-off (about 1.5e-15), not a sequence that falls with M
         curve = planted_oracle_curve()
-        residuals = []
         for M in (16, 32, 64, 128):
+            sol = solve_reparam(curve, M, 8 * M)
+            assert taylor_coeffs(curve, sol, 16).neg_residual < 1e-14
+
+    def test_neg_residual_decreases_with_M(self):
+        # the 2:1 ellipse is resolved only as M grows: 4.8e-3, 2.8e-4,
+        # 1.5e-6 and 1.7e-8 at M = 4, 8, 16, 32
+        curve = FourierCurve.from_coeffs({1: 0.75, -1: 0.25})
+        residuals = []
+        for M in (4, 8, 16, 32):
             sol = solve_reparam(curve, M, 8 * M)
             residuals.append(taylor_coeffs(curve, sol, 16).neg_residual)
         for r0, r1 in zip(residuals, residuals[1:]):
