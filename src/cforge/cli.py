@@ -5,8 +5,9 @@ map artifacts), ``verify`` (named property suites), ``render`` (manifest ->
 SVG), ``report`` (manifest summary).  Exit codes are a stable contract:
 0 ok, 1 verify failure, 2 malformed input, 3 underdetermined fit,
 4 solver failure, 5 pipeline precondition failure.  ``map`` writes nothing
-when its deviation ``--grid`` is below 256 (2) or its core is not locally
-injective, univalence winding not 0 (5).
+when its deviation ``--grid`` is below 256 or its check tables would pass
+the memory cap (2), or its core is not locally injective, univalence
+winding not 0 (5).
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ from .errors import (
     WindingError,
 )
 from .fourier_boundary import eval_grid, fit_from_samples, save_curve
-from .geometry_checks import DeviationReport, boundary_deviation, render_polar_net
+from .geometry_checks import (
+    DeviationReport,
+    boundary_deviation,
+    check_deviation_grid,
+    render_polar_net,
+)
 from .pipelines import (
     ComposedMap,
     PipelineConfig,
@@ -99,14 +105,13 @@ def cmd_map(args) -> int:
     if "config" in payload and "tool" in payload:
         payload = payload["config"]  # accept a previous run's manifest
     cfg = PipelineConfig.from_json(payload, base_dir=os.path.dirname(args.config) or ".")
-    if args.grid < 256:
-        raise InputError("deviation grid must be at least 256")
+    target = cfg.boundary if cfg.boundary is not None else _sample_target(cfg.samples)
+    check_deviation_grid(target, args.grid)
 
     t0 = time.perf_counter()
     cmap = _build_map(cfg)
     t_build = time.perf_counter() - t0
 
-    target = cfg.boundary if cfg.boundary is not None else _sample_target(cfg.samples)
     t0 = time.perf_counter()
     report = boundary_deviation(cmap, target, grid=args.grid)
     t_check = time.perf_counter() - t0

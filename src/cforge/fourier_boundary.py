@@ -119,21 +119,27 @@ class CornerGapQuery:
             raise InputError("alpha must lie in (0, 2)")
 
 
-def eval_curve(curve: FourierCurve, t):
+def eval_curve(curve: FourierCurve, t, order: int = 0):
     """Evaluate ``z(t) = sum c_k e^{ikt}``; ``t`` may be a scalar or array.
 
     The coefficients are laid out densely over ``[min k, max k]`` and
     summed by :func:`horner` in ``w = e^{it}``, then shifted by
     ``e^{i min(k) t}``: at most two ``exp`` per point, whatever the support.
+    With ``order > 0`` the result gains a leading axis of ``order + 1``
+    rows, ``z`` and its derivatives in ``t`` up to ``order``, all from the
+    one power table.
     """
     t_arr = np.asarray(t, dtype=float)
     kmin = curve.ks[0]
     dense = np.zeros(curve.ks[-1] - kmin + 1, dtype=complex)
     dense[np.subtract(curve.ks, kmin)] = curve.cs
+    if order:
+        k = np.arange(kmin, curve.ks[-1] + 1)
+        dense = (1j * k) ** np.arange(order + 1)[:, None] * dense
     out = horner(dense, np.exp(1j * t_arr))
     if kmin:
         out = out * np.exp(1j * kmin * t_arr)
-    if t_arr.ndim == 0:
+    if t_arr.ndim == 0 and not order:
         return complex(out)
     return out
 

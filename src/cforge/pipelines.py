@@ -428,14 +428,14 @@ def _check_simple(points: np.ndarray, label: str, max_check: int = 1024) -> None
     """Reject a self-intersecting closed polyline (coarsened to max_check).
 
     Two segments that cross have midpoints no further apart than the longer
-    of the two, so a k-d tree over the midpoints yields every candidate
-    pair.  Swapping the two segments negates both numerators and the
-    denominator of the intersection test exactly, so testing each
-    non-adjacent pair once as ``i < j`` and reporting the lexicographically
-    first hit gives the pair the all-pairs test reports.
+    of the two, ``r``.  A sweep over the midpoints sorted by x finds, by
+    ``searchsorted``, each one's successors within ``r`` in x; those within
+    ``r`` in distance are every candidate pair.  Swapping the two segments
+    negates both numerators and the denominator of the intersection test
+    exactly, so testing each non-adjacent pair once as ``i < j`` and
+    reporting the lexicographically first hit gives the pair the all-pairs
+    test reports.
     """
-    from scipy.spatial import cKDTree
-
     n = len(points)
     step = max(1, n // max_check)
     a = points[::step]
@@ -448,10 +448,15 @@ def _check_simple(points: np.ndarray, label: str, max_check: int = 1024) -> None
     r = float(np.max(np.abs(b - a), initial=0.0)) * (1.0 + 1e-9) + 1e-12 * float(
         np.max(np.abs(mid), initial=0.0)
     )
-    pairs = cKDTree(np.column_stack([mid.real, mid.imag])).query_pairs(
-        r, output_type="ndarray"
-    )
-    i, j = pairs.T  # i < j
+    order = np.argsort(mid.real, kind="stable")
+    xs = mid.real[order]
+    count = np.searchsorted(xs, xs + r, "right") - np.arange(1, m + 1)
+    first = np.repeat(np.arange(m), count)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    second += first + 1
+    i, j = order[first], order[second]
+    near = np.abs(mid[i] - mid[j]) <= r
+    i, j = np.minimum(i, j)[near], np.maximum(i, j)[near]
     far = (j - i > 1) & (j - i < m - 1)
     i, j = i[far], j[far]
     hit = _segments_intersect(a[i], b[i], a[j], b[j])
@@ -547,7 +552,7 @@ def _check_injective(core: PolynomialMap) -> None:
     """Raise :class:`PipelineError` if ``core`` is not locally injective."""
     from . import geometry_checks  # it imports this module
 
-    winding = geometry_checks.univalence_check(core, max(8 * core.degree, 256))
+    winding = geometry_checks.core_winding(core)
     if winding != 0:
         raise PipelineError(f"core winding {winding}: not locally injective")
 

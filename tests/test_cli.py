@@ -240,6 +240,26 @@ class TestMap:
                      "--grid", "255"]) == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_oversized_deviation_grid_rejected_before_build(
+        self, tmp_path, monkeypatch, capsys, sampled
+    ):
+        # 10^8 would ask for 1.6e9 target samples (25.6 GB) of a sampled
+        # boundary and 2e8 of a Fourier one: refused before anything is built
+        from cforge import cli
+
+        def no_build(cfg):
+            raise AssertionError("map built")
+
+        monkeypatch.setattr(cli, "_build_map", no_build)
+        z = np.exp(2j * np.pi * np.arange(64) / 64)
+        bnd = {"boundary": {"samples": [[v.real, v.imag] for v in z]}} if sampled else {}
+        out = tmp_path / "g"
+        assert main(["map", "--config", circle_config(tmp_path, **bnd), "--out",
+                     str(out), "--grid", "100000000"]) == 2
+        assert "GiB cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(
             ["map", "--config", str(tmp_path / "nope.json"),

@@ -211,6 +211,19 @@ class TestDerivative:
         assert np.max(np.abs(fd - eval_curve(d, t))) < 1e-7
 
 
+    def test_eval_curve_rows_of_derivatives(self, rng):
+        ks = (-3, -1, 0, 2, 5)
+        cs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        curve = FourierCurve(ks, cs)
+        t = rng.uniform(0.0, 2 * np.pi, 50)
+        rows = eval_curve(curve, t, 2)
+        assert rows.shape == (3, 50)
+        for order, row in enumerate(rows):
+            want = eval_curve(derivative_curve(curve, order) if order else curve, t)
+            assert np.max(np.abs(row - want)) < 1e-12 * np.sum(np.abs(cs)) * 25
+        assert np.allclose(eval_curve(curve, t[0], 2), rows[:, 0], rtol=0, atol=1e-14)
+
+
 class TestFit:
     def test_circle_recovery(self):
         t = 2 * np.pi * np.arange(16) / 16

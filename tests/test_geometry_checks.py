@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cforge import (
     FourierCurve,
@@ -18,7 +20,9 @@ from cforge import geometry_checks
 from cforge.fourier_boundary import derivative_curve, eval_curve, horner, unwrap_closed
 from cforge.geometry_checks import _nearest_distance
 from cforge.pipelines import ComposedMap
-from cforge.reparam_solver import PolynomialMap
+from cforge.reparam_solver import PolynomialMap, load_polynomial_map
+from cforge.reparam_solver import save_polynomial_map
+from cforge.suites import jordan_positive_curve
 
 
 def identity_map():
@@ -59,11 +63,41 @@ class TestBoundaryDeviation:
         with pytest.raises(InputError):
             boundary_deviation(identity_map(), unit_circle, grid=128)
 
+    @pytest.mark.parametrize("parametric", [False, True])
+    def test_grid_above_memory_cap_rejected(self, unit_circle, monkeypatch, parametric):
+        # the check runs before any table is allocated
+        def no_table(*args):
+            raise AssertionError("target table allocated")
+
+        monkeypatch.setattr(geometry_checks, "_nearest_distance", no_table)
+        target = (lambda s: np.exp(1j * s)) if parametric else unit_circle
+        with pytest.raises(InputError, match="GiB cap"):
+            geometry_checks.boundary_distances(target, 10**8)
+
+    def test_winding_counted_once_per_core(self, quadratic_curve, monkeypatch, tmp_path):
+        calls = []
+        real = geometry_checks.univalence_check
+
+        def counted(core, grid):
+            calls.append(grid)
+            return real(core, grid)
+
+        monkeypatch.setattr(geometry_checks, "univalence_check", counted)
+        cm = smooth_map(PipelineConfig(boundary=quadratic_curve, M=32, P=256, D=8))
+        assert boundary_deviation(cm, quadratic_curve, grid=512).univalence_winding == 0
+        assert calls == [256]  # the build gate's count, reused by the report
+        # a core read back from a file is counted anew
+        save_polynomial_map(cm.core, str(tmp_path / "core.csv"))
+        loaded = ComposedMap(cm.stages, load_polynomial_map(str(tmp_path / "core.csv")))
+        boundary_deviation(loaded, quadratic_curve, grid=512)
+        assert calls == [256, 256]
+
 
 
 def _dense_nearest(points, target, grid):
     """Reference for ``_nearest_distance``'s callable: argmin over the full distance
-    matrix to the 16x fine samples, then the same clipped Newton step."""
+    matrix to the 16x fine samples, then, on a Fourier curve, 50 Newton steps
+    from the nearest sample: converged far below the 1e-11 compared."""
     fine = 16 * grid
     s = 2.0 * np.pi * np.arange(fine) / fine
     fourier = isinstance(target, FourierCurve)
@@ -73,22 +107,56 @@ def _dense_nearest(points, target, grid):
     best = d[np.arange(len(points)), j]
     if not fourier:
         return best
-    zs = eval_curve(target, s[j])
-    zp = eval_curve(derivative_curve(target, 1), s[j])
-    zpp = eval_curve(derivative_curve(target, 2), s[j])
-    diff = zs - points
-    g = (diff * np.conj(zp)).real
-    gp = np.abs(zp) ** 2 + (diff * np.conj(zpp)).real
-    ok = np.abs(gp) > 1e-30
-    step = np.where(ok, g / np.where(ok, gp, 1.0), 0.0)
-    step = np.clip(step, -2.0 * np.pi / fine, 2.0 * np.pi / fine)
-    refined = np.abs(eval_curve(target, s[j] - step) - points)
+    sj = s[j]
+    for _ in range(50):
+        diff = eval_curve(target, sj) - points
+        zp = eval_curve(derivative_curve(target, 1), sj)
+        zpp = eval_curve(derivative_curve(target, 2), sj)
+        g = (diff * np.conj(zp)).real
+        gp = np.abs(zp) ** 2 + (diff * np.conj(zpp)).real
+        step = np.clip(g / gp, -2.0 * np.pi / fine, 2.0 * np.pi / fine)
+        sj = sj - step
+    refined = np.abs(eval_curve(target, sj) - points)
     return np.minimum(best, refined)
+
+
+def _point_set(curve, layout, rng, n):
+    """Points near the curve in its order, reversed or shuffled; far away;
+    or near its centres of curvature (the ends of the medial axis, where
+    two arcs are nearly as close)."""
+    t = 2 * np.pi * (np.arange(n) + rng.uniform()) / n
+    z = eval_curve(curve, t)
+    d1 = eval_curve(derivative_curve(curve, 1), t)
+    normal = 1j * d1 / np.abs(d1)
+    scale = np.max(np.abs(z - z.mean()))
+    jitter = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if layout == "far":
+        return z.mean() + scale * rng.uniform(5.0, 50.0, n) * np.exp(
+            2j * np.pi * rng.uniform(size=n)
+        )
+    if layout == "centre":
+        d2 = eval_curve(derivative_curve(curve, 2), t)
+        kappa = (np.conj(d1) * d2).imag / np.abs(d1) ** 3
+        return z + normal / kappa + 1e-3 * scale * jitter
+    points = z + 0.05 * scale * rng.standard_normal(n) * normal
+    if layout == "reversed":
+        return points[::-1]
+    if layout == "shuffled":
+        return rng.permutation(points)
+    return points
+
+
+def _peanut(w):
+    """x = cos t, y = sin t (w + (1 - w) cos^2 t): two lobes joined by a
+    neck of width 2w at x = 0."""
+    a, b = w + (1 - w) / 4, (1 - w) / 4
+    return FourierCurve((-3, -1, 1, 3), (-b / 2, (1 - a) / 2, (1 + a) / 2, b / 2))
 
 
 class TestNearestDistance:
     # the ellipse x^2 + 16 y^2 = 1
     ellipse = FourierCurve((-1, 1), (0.375, 0.625))
+    peanut = _peanut(0.05)
 
     def off_curve_points(self, rng, n=600):
         t = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -99,7 +167,8 @@ class TestNearestDistance:
     def test_fourier_target_matches_dense_reference(self, rng):
         points = self.off_curve_points(rng)
         got = _nearest_distance(self.ellipse, 256)(points)
-        assert np.array_equal(got, _dense_nearest(points, self.ellipse, 256))
+        ref = _dense_nearest(points, self.ellipse, 256)
+        assert np.allclose(got, ref, rtol=1e-11, atol=0.0)
         assert np.min(got) < 1e-2 and np.max(got) > 0.1
 
     def test_parametric_target_matches_dense_reference(self, rng):
@@ -109,6 +178,40 @@ class TestNearestDistance:
         points = self.off_curve_points(rng)
         got = _nearest_distance(target, 256)(points)
         assert np.array_equal(got, _dense_nearest(points, target, 256))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        top=st.integers(2, 12),
+        neck=st.booleans(),
+        layout=st.sampled_from(["ordered", "reversed", "shuffled", "far", "centre"]),
+    )
+    def test_matches_brute_force(self, seed, top, neck, layout):
+        """Random univalent curves (and a peanut whose neck is 0.1 wide):
+        the parametric distance equals the dense argmin bit for bit, and the
+        refined Fourier distance matches the dense reference to rounding."""
+        rng = np.random.default_rng(seed)
+        curve = self.peanut if neck else jordan_positive_curve(rng, top)
+        points = _point_set(curve, layout, rng, 120)
+        got = _nearest_distance(curve, 256)(points)
+        ref = _dense_nearest(points, curve, 256)
+        assert np.all(np.abs(got - ref) <= 1e-11 * ref + 1e-14)
+
+        def sampled(s):
+            return eval_curve(curve, s)
+
+        got = _nearest_distance(sampled, 256)(points)
+        assert np.array_equal(got, _dense_nearest(points, sampled, 256))
+
+    def test_far_off_points_complete(self):
+        # every point needs every one of the 8192 samples: 3.4e7 candidate
+        # pairs, expanded a chunk at a time
+        points = 100.0 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+        got = _nearest_distance(self.ellipse, 4096)(points)
+        some = points[::64]
+        ref = _dense_nearest(some, self.ellipse, 4096)
+        assert np.all(np.abs(got[::64] - ref) <= 1e-13 * ref)
+        assert np.min(got) == pytest.approx(99.0) and np.max(got) == pytest.approx(99.75)
 
     def test_non_finite_point_keeps_non_finite_distance(self):
         points = np.array([1.1 + 0.0j, complex(np.nan, 0.0), complex(np.inf, 1.0)])

@@ -101,3 +101,29 @@ print(json.dumps({"winding": winding, "finite": bool(np.isfinite(angle)),
     assert not [m for m in seen["loaded"]
                 if m.startswith(("scipy.spatial", "scipy.integrate"))]
     assert "scipy.linalg" in seen["loaded"]  # the solve itself still uses it
+
+
+def test_map_loads_no_spatial(tmp_path):
+    # the deviation check and the slender self-intersection check are numpy
+    ellipse = {"coeffs": [{"k": -1, "re": 0.375, "im": 0.0},
+                          {"k": 1, "re": 0.625, "im": 0.0}]}
+    runs = {}
+    for kind, extra in (("smooth", {}), ("slender", {"slender": {}, "n_iter": 20})):
+        cfg = tmp_path / f"{kind}.json"
+        cfg.write_text(json.dumps({"boundary": ellipse, "M": 32, "P": 256, "D": 64,
+                                   **extra}))
+        runs[kind] = (str(cfg), str(tmp_path / kind))
+    seen = run_fresh(
+        f"""
+import cforge.cli
+seen = {{}}
+for kind, (cfg, out) in {runs!r}.items():
+    seen[kind] = cforge.cli.main(["map", "--config", cfg, "--out", out])
+seen["loaded"] = loaded()
+print(json.dumps(seen))
+""",
+        tmp_path,
+    )
+    assert seen["smooth"] == 0 and seen["slender"] == 0
+    assert [m for m in seen["loaded"] if m.startswith("scipy.spatial")] == []
+    assert "scipy.linalg" in seen["loaded"]
