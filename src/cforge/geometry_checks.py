@@ -337,6 +337,27 @@ def _path(points) -> str:
     return f'<polyline fill="none" points="{coords}"/>'
 
 
+def _runs(cmap: ComposedMap, zeta_arr):
+    """``(runs, skipped)``: the image of ``zeta_arr`` as one run or, when a
+    stage rejects a sample, point by point, split at the rejected ones."""
+    try:
+        return [evaluate_composed(cmap, zeta_arr)], []
+    except DomainError:
+        pass
+    runs, run, skipped = [], [], []
+    for i, zv in enumerate(zeta_arr):
+        try:
+            run.append(evaluate_composed(cmap, zv))
+        except DomainError:
+            skipped.append(i)
+            if run:
+                runs.append(np.asarray(run, dtype=complex))
+            run = []
+    if run:
+        runs.append(np.asarray(run, dtype=complex))
+    return runs, skipped
+
+
 def render_polar_net(
     cmap: ComposedMap, spokes: int = 8, circles: int = 4, samples: int = 256
 ) -> str:
@@ -346,47 +367,38 @@ def render_polar_net(
     and ``spokes`` radii of the unit disk, plus the image of the unit circle
     as the boundary.  Output is deterministic: fixed path order (circles by
     radius, spokes by angle, boundary last), floats at 12 significant
-    digits.  Samples that a stage rejects (a stage-domain failure) are left
-    out instead of aborting the figure: the curve is drawn as a group of
-    polylines split at those samples, annotated with their indices.
+    digits.  Every sample is evaluated in one call.  Samples that a stage
+    rejects (a stage-domain failure) are left out instead of aborting the
+    figure: the curve is drawn as a group of polylines split at those
+    samples, annotated with their indices.
     """
     if spokes < 1 or circles < 1:
         raise InputError("need at least one spoke and one circle")
     if samples < 2:
         raise InputError(f"need at least 2 samples per curve, got {samples}")
+    ring = np.exp(2j * np.pi * np.arange(samples + 1) / samples)
+    curves = [j / (circles + 1.0) * ring for j in range(1, circles + 1)]
+    curves += [
+        np.linspace(0.0, 1.0, samples) * np.exp(1j * (2.0 * np.pi * j / spokes))
+        for j in range(spokes)
+    ]
+    curves.append(ring)
+    try:
+        values = evaluate_composed(cmap, np.concatenate(curves))
+        ends = np.cumsum([len(c) for c in curves[:-1]])
+        drawn = [([image], []) for image in np.split(values, ends)]
+    except DomainError:
+        drawn = [_runs(cmap, zeta_arr) for zeta_arr in curves]
     paths = []
     all_pts = []
-
-    def draw(zeta_arr):
-        try:
-            runs, skipped = [evaluate_composed(cmap, zeta_arr)], []
-        except DomainError:
-            runs, run, skipped = [], [], []
-            for i, zv in enumerate(zeta_arr):
-                try:
-                    run.append(evaluate_composed(cmap, zv))
-                except DomainError:
-                    skipped.append(i)
-                    if run:
-                        runs.append(np.asarray(run, dtype=complex))
-                    run = []
-            if run:
-                runs.append(np.asarray(run, dtype=complex))
+    for runs, skipped in drawn:
         all_pts.extend(runs)
         if not skipped:
             paths.append(_path(runs[0]))
-            return
+            continue
         warn = "stage-domain-error at samples " + ",".join(map(str, skipped))
         body = "".join(_path(r) + "\n" for r in runs)
         paths.append(f'<g data-warning="{warn}">\n{body}</g>')
-
-    for j in range(1, circles + 1):
-        r = j / (circles + 1.0)
-        draw(r * np.exp(2j * np.pi * np.arange(samples + 1) / samples))
-    for j in range(spokes):
-        ang = 2.0 * np.pi * j / spokes
-        draw(np.linspace(0.0, 1.0, samples) * np.exp(1j * ang))
-    draw(np.exp(2j * np.pi * np.arange(samples + 1) / samples))
 
     pool = np.concatenate(all_pts) if all_pts else np.array([-1.0 - 1j, 1.0 + 1j])
     x0, x1 = float(np.min(pool.real)), float(np.max(pool.real))

@@ -249,8 +249,9 @@ class PipelineConfig:
     ``refit_degree``, within ``refit_tol`` > 0, elsewhere).  Resolution
     defaults follow the command-line tool: M=64, P=8M, D=4M, n_iter=8.
     ``P`` is the correspondence grid and the upper bound of the quadrature
-    grid, which :func:`~cforge.reparam_solver.solve_reparam` drops to ``4M``
-    when the kernel is resolved there.  Integer fields, corner ``k`` and
+    grid, which :func:`~cforge.reparam_solver.solve_reparam` drops to the
+    kernel's own resolution (``4L`` for ``L < M`` modes, or ``4M``) when
+    the kernel is resolved there.  Integer fields, corner ``k`` and
     ``N`` too, must hold integral numbers and are stored as ints.
     """
 

@@ -40,16 +40,29 @@ costs ``O(P^2 log P)`` whatever the support.
 The same transforms bound the quadrature error: the spectra along t and
 along tau, and those of the right-hand side, decay geometrically for an
 analytic curve, and their envelope carried on to the first mode that
-aliases into the kept band is the assembly's ``tail``.  :func:`solve_reparam`
-assembles on ``4M``, the smallest grid the projection allows, and keeps
-that system when its tail is at round-off; otherwise it assembles on the
-given ``P``, which is also the grid of the correspondence ``theta``.
+aliases into the kept band is the assembly's ``tail``.
+
+They also give the kernel's own resolution.  For an analytic curve the
+projected kernel's coefficients decay geometrically in both mode indices,
+so ``A - I`` and the ``L``-kernel part of the right-hand side are at
+round-off past some mode ``L`` well below ``M``.  :func:`solve_reparam`
+assembles a small probe, carries its spectra's envelope on to the mode
+where it reaches ``KERNEL_TAIL_TOL`` and assembles the rung of ``L``
+modes on ``4L`` nodes there.  The rung is kept when its certificate holds:
+every discarded half band is at most ``KERNEL_TAIL_TOL`` of its kept
+band's peak (or of 1).  The full system is then ``blockdiag(A_L, I)``:
+only the ``2L x 2L`` block is factored, and the modes ``L+1..M`` of ``q``
+take the conjugate function of ``ln|z|`` directly, so assembly costs
+``O(L^2 log L)``.  Otherwise it assembles on ``4M``, the smallest grid
+the projection allows, and keeps that system when its tail is at
+round-off, or else on the given ``P``, which is also the grid of the
+correspondence ``theta``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -95,6 +108,8 @@ NEAR_DIAGONALS = 32
 # envelope at the first aliased mode relative to their kept band, is at
 # most this (see assemble_system)
 KERNEL_TAIL_TOL = 1e-13
+# modes of the probe that measures the kernel's own resolution (see _rung)
+PROBE_MODES = 32
 # the correspondence inverse's certified residual theta' |t - t(theta)|
 # must be below this
 INVERSE_TOL = 1e-10
@@ -107,12 +122,14 @@ class BlockSystem:
     """The truncated ``2M x 2M`` system ``A x = [F; G]``: rows and columns
     ``0..M-1`` belong to the cosine coefficients, ``M..2M-1`` to the sine
     coefficients.  ``tail`` estimates the quadrature error of the grid the
-    system was assembled on (see :func:`assemble_system`)."""
+    system was assembled on, from the spectra whose :func:`_band` rows
+    ``bands`` holds (see :func:`assemble_system`)."""
 
     A: np.ndarray
     F: np.ndarray
     G: np.ndarray
     tail: float = float("nan")
+    bands: np.ndarray | None = None
 
     def rhs(self) -> np.ndarray:
         return np.concatenate([self.F, self.G])
@@ -127,9 +144,14 @@ class ReparamSolution:
     ``theta(t) = arg z(t) + q(t)`` at ``grid_size`` uniform parameters.
     ``monotone`` records whether ``theta`` is strictly increasing; only
     monotone solutions are accepted downstream.  ``assembly_P`` is the
-    quadrature grid the system was assembled on and ``kernel_tail`` its
-    :attr:`BlockSystem.tail`.  ``condition`` is LAPACK's 1-norm estimate at
-    12 significant digits: its last bits differ between identical calls.
+    quadrature grid the system was assembled on: ``4L`` for a rung of
+    ``L < M`` modes, else ``4M`` or ``P``.  ``kernel_tail`` is that
+    system's :attr:`BlockSystem.tail`; for a rung, the larger of its
+    certificate (its largest discarded half band over its kept band's peak
+    or 1) and the tail of ``ln|z|`` on ``4M``.  ``condition`` is the 1-norm
+    condition of the full ``2M x 2M`` system, ``blockdiag(A_L, I)`` on a
+    rung, from LAPACK's estimate at 12 significant digits: its last bits
+    differ between identical calls.
     ``inverse`` is the certified inverse of ``theta_grid``, built on first
     use and kept with the solve.
     """
@@ -418,6 +440,13 @@ def _discarded(spectrum: np.ndarray, M: int) -> np.ndarray:
     return np.array([_peak(half) for half in halves])
 
 
+def _band(half: np.ndarray, M: int) -> np.ndarray:
+    """``[kept, first, second]`` of a half spectrum: the :func:`_peak` of
+    its kept band ``1..M`` and the :func:`_discarded` peaks of the two
+    halves of its first discarded band."""
+    return np.append(_peak(half[1 : M + 1]), _discarded(half, M))
+
+
 def _tail(kept: float, discarded: np.ndarray, M: int, P: int) -> float:
     """The envelope of a spectrum extrapolated to the first mode that
     aliases into the kept band ``1..M``, ``P - M``, over the larger of the
@@ -437,11 +466,11 @@ def _tail(kept: float, discarded: np.ndarray, M: int, P: int) -> float:
 
 
 def _row_spectra(curve: FourierCurve, M: int, P: int, u: np.ndarray):
-    """Stream the kernel grid: ``(rows, ul, tail)`` with
+    """Stream the kernel grid: ``(rows, ul, band)`` with
     ``rows[p-1, tau]`` and ``rows[M+p-1, tau]`` the sums over t of
     ``K(tau, t) cos(pt)`` and ``K(tau, t) sin(pt)``, ``p = 1..M``,
-    ``ul[t]`` the sum over tau of ``u(tau) L(tau, t)`` and ``tail`` the
-    :func:`_tail` of the rows' spectra along t.
+    ``ul[t]`` the sum over tau of ``u(tau) L(tau, t)`` and ``band`` the
+    :func:`_band` of the rows' spectra along t.
 
     With ``G`` from :func:`_kernel_blocks`, ``K = Im G - 1/2``, whose
     constant drops out of modes ``1..M``, and
@@ -467,7 +496,7 @@ def _row_spectra(curve: FourierCurve, M: int, P: int, u: np.ndarray):
     cot[0] = 0.0
     ul -= np.fft.irfft(np.fft.rfft(u) * cot, P)
     # scaled to the Fourier coefficients of K(tau, .)
-    return rows, ul, _tail(_peak(rows) * 2.0 / P, discarded * 2.0 / P, M, P)
+    return rows, ul, np.append(_peak(rows), discarded) * 2.0 / P
 
 
 def _check_grid(M: int, P: int) -> None:
@@ -485,7 +514,9 @@ def _check_grid(M: int, P: int) -> None:
         )
 
 
-def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
+def assemble_system(
+    curve: FourierCurve, M: int, P: int, *, su: np.ndarray | None = None
+) -> BlockSystem:
     """Project the integral equation onto ``cos(lt), sin(lt)``, ``l <= M``.
 
     The kernel is sampled on the ``P x P`` uniform grid and both integrals
@@ -501,15 +532,26 @@ def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
     peak would exceed ``ASSEMBLY_MAX_BYTES`` are rejected before anything
     is allocated.
 
-    The same transforms measure the quadrature error: ``tail`` is the
-    largest :func:`_tail` of the rows' spectra along t, the blocks'
-    spectra along tau and the half spectra of ``ln|z|`` and of the
-    ``L``-kernel integral, so a grid whose first aliased mode is at
-    round-off has a tail near machine precision.
+    ``su``, when given, is the :func:`_half_spectrum` of ``ln|z|`` on a
+    finer grid (at least ``M + 1`` modes): the right-hand side takes its
+    modes ``1..M``, and the ``L``-kernel integral runs over its modes
+    below ``P/2``, so that a slowly decaying ``ln|z|`` does not alias on
+    the grid.  Otherwise ``ln|z|`` is sampled on the grid itself.
+
+    The same transforms measure the quadrature error.  ``bands`` holds the
+    :func:`_band` of the rows' spectra along t, of the blocks' spectra
+    along tau, of the half spectrum of the ``L``-kernel integral and, when
+    it was sampled here, of that of ``ln|z|``; ``tail`` is their largest
+    :func:`_tail`, so a grid whose first aliased mode is at round-off has a
+    tail near machine precision.
     """
     _check_grid(M, P)
-    u = np.log(np.abs(eval_grid(curve.ks, curve.cs, P)))
-    rows, ul, tail = _row_spectra(curve, M, P, u)
+    if su is None:
+        u = np.log(np.abs(eval_grid(curve.ks, curve.cs, P)))
+    else:
+        u = _series_on_grid(su[: P // 2], P)
+    rows, ul, band = _row_spectra(curve, M, P, u)
+    bands = [band]
 
     # X[j, l] = sum_tau e^{-il tau} rows[j, tau]: the cos(l tau) projection
     # is Re X and the sin(l tau) projection -Im X
@@ -525,36 +567,107 @@ def assemble_system(curve: FourierCurve, M: int, P: int) -> BlockSystem:
         X = full[:, 1 : M + 1]
         np.multiply(X.real, -w, out=A[j0 : j0 + step, :M])
         np.multiply(X.imag, w, out=A[j0 : j0 + step, M:])
-    tail = max(tail, _tail(_peak(A), w * discarded, M, P))
+    bands.append(np.append(_peak(A), w * discarded))
     A[np.diag_indices(2 * M)] += 1.0
 
     # right-hand side: the continuous-kernel part minus the conjugate of
     # ln|z| (that of a cos pt + b sin pt is a sin pt - b cos pt), from half
     # spectra a - ib (modes 1..M, below the Nyquist mode)
-    su = _half_spectrum(u)
+    if su is None:
+        su = _half_spectrum(u)
+        bands.append(_band(su, M))
     rl = (2.0 / P) * ul  # (1/pi) int ln|z(tau)| L(tau, t) dtau at t_j
     sr = _half_spectrum(rl)
-    for half in (su, sr):
-        tail = max(tail, _tail(_peak(half[1 : M + 1]), _discarded(half, M), M, P))
+    bands.append(_band(sr, M))
     su, sr = su[1 : M + 1], sr[1 : M + 1]
     F = sr.real - su.imag
     G = -(su.real + sr.imag)
     for block in (A, F, G):
         if not np.all(np.isfinite(block)):
             raise SolverError("non-finite entries in the projected system")
-    return BlockSystem(A=A, F=F, G=G, tail=tail)
+    bands = np.array(bands)
+    tail = max(_tail(kept, discarded, M, P) for kept, *discarded in bands)
+    return BlockSystem(A=A, F=F, G=G, tail=tail, bands=bands)
+
+
+def _resolution(bands: np.ndarray, L: int) -> float:
+    """The smallest mode at which the envelope of every band of a system
+    on ``L`` modes, carried on geometrically as in :func:`_tail`, is at
+    most ``KERNEL_TAIL_TOL`` of its kept band's peak (or of 1); ``inf``
+    when an envelope above that does not fall."""
+    h = L + L // 2
+    mode = 0.0
+    for kept, first, second in bands:
+        limit = KERNEL_TAIL_TOL * max(kept, 1.0)
+        if max(first, second) <= limit:
+            continue
+        if second >= first:
+            return float("inf")
+        steps = np.log(limit / second) / np.log(second / first) if second > 0 else 0.0
+        mode = max(mode, h + (h - L) * steps)
+    return mode
+
+
+def _cut(bands: np.ndarray) -> float:
+    """The largest discarded half band of ``bands`` over the larger of its
+    kept band's peak and 1."""
+    return float(np.max(np.max(bands[:, 1:], axis=1) / np.maximum(bands[:, 0], 1.0)))
+
+
+def _rung(curve: FourierCurve, M: int, grid: int):
+    """The system on the kernel's own resolution ``L < M``, ``(system,
+    su)``, or ``None`` when there is none.
+
+    ``su`` is the half spectrum of ``ln|z|`` on ``grid``, whose tail must
+    be at most ``KERNEL_TAIL_TOL``, as for a system assembled there.  A
+    probe on ``L0 = max(PROBE_MODES, max|k|)`` modes and ``4 L0`` nodes
+    (none when ``M < 4 L0``) carries its spectra's envelope on to the mode
+    :func:`_resolution` where it reaches the tolerance.  When that is at
+    most ``M/2``, the rung on ``L`` modes, that mode rounded up to a
+    multiple of 8 (the probe itself when it is at most ``L0``), is
+    assembled on ``4L`` nodes from ``su`` and kept when its :func:`_cut`
+    is at most ``KERNEL_TAIL_TOL``: past mode ``L`` the system is then the
+    identity and the ``L``-kernel integral vanishes to that tolerance.
+    The kept system's ``tail`` is the larger of its cut and the tail of
+    ``su``."""
+    L = max(PROBE_MODES, max(abs(k) for k in curve.ks))
+    if M < 4 * L:
+        return None
+    su = _half_spectrum(np.log(np.abs(eval_grid(curve.ks, curve.cs, grid))))
+    kept, *discarded = _band(su, M)
+    su_tail = _tail(kept, discarded, M, grid)
+    if not su_tail <= KERNEL_TAIL_TOL:
+        return None
+    system = assemble_system(curve, L, 4 * L, su=su)
+    need = _resolution(system.bands, L)
+    if not need <= M / 2:
+        return None
+    if need > L:
+        L = 8 * int(np.ceil(need / 8))
+        system = assemble_system(curve, L, 4 * L, su=su)
+    cut = _cut(system.bands)
+    if not cut <= KERNEL_TAIL_TOL:
+        return None
+    return replace(system, tail=max(cut, su_tail)), su
 
 
 def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
     """Solve the block system and build ``theta(t) = arg z(t) + q(t)``.
 
     ``P`` is the correspondence grid, on which ``theta`` is sampled, and
-    the largest quadrature grid.  The system is first assembled on the
-    kernel's own resolution ``4M``, the smallest grid the projection
-    allows, and kept when its ``tail`` is at most ``KERNEL_TAIL_TOL``;
-    otherwise it is assembled on ``P``.  A tail above the tolerance even
-    there is logged on the ``cforge`` logger.  Sizes are checked at ``P``
-    before anything is assembled.
+    the largest quadrature grid.  The system is first sought on the
+    kernel's own resolution, a rung of ``L < M`` modes (:func:`_rung`),
+    then assembled on ``4M``, the smallest grid the projection allows,
+    and kept when its ``tail`` is at most ``KERNEL_TAIL_TOL``; otherwise
+    it is assembled on ``P``.  A tail above the tolerance even there is
+    logged on the ``cforge`` logger.  Sizes are checked at ``P`` before
+    anything is assembled.
+
+    The full system is ``blockdiag(A_L, I)``: LU factors the rung's
+    ``2L x 2L`` block, and the modes ``L+1..M`` of ``q`` take their
+    right-hand side, the conjugate function of ``ln|z|``, directly.  On
+    ``L = M`` this is the whole system.  ``condition`` is the 1-norm
+    condition of the full system, ``max(|A_L|, 1) max(|A_L^-1|, 1)``.
 
     The mean of ``q`` is zero by construction (the constant mode is excluded
     from the system), which also removes the rotational eigenfunction and
@@ -566,26 +679,42 @@ def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
 
     _check_grid(M, P)
     grid = 4 * M if P > 4 * M else P
-    system = assemble_system(curve, M, grid)
-    if grid < P and not system.tail <= KERNEL_TAIL_TOL:
-        grid = P
+    rung = _rung(curve, M, grid)
+    if rung is not None:
+        system, su = rung
+        grid = 4 * len(system.F)
+    else:
         system = assemble_system(curve, M, grid)
+        if grid < P and not system.tail <= KERNEL_TAIL_TOL:
+            grid = P
+            system = assemble_system(curve, M, grid)
     if not system.tail <= KERNEL_TAIL_TOL:
         log.warning(
             "kernel tail %.3e at P=%d exceeds %.0e: the quadrature grid "
             "under-resolves the kernel", system.tail, P, KERNEL_TAIL_TOL
         )
     A = system.A
+    L = len(system.F)
     lu, piv = lu_factor(A)
-    rcond, _ = dgecon(lu, np.linalg.norm(A, 1), norm="1")
-    cond = float(1.0 / rcond) if rcond > 0 else float("inf")
+    norm = np.linalg.norm(A, 1)
+    rcond, _ = dgecon(lu, norm, norm="1")
+    # |A| |A^-1| = 1/rcond; the identity block lifts either norm to 1
+    cond = (
+        float(1.0 / rcond) * max(1.0, 1.0 / norm) * max(1.0, rcond * norm)
+        if rcond > 0
+        else float("inf")
+    )
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularSystemError(
             f"block system numerically singular (condition {cond:.3e})",
             condition=cond,
         )
     x = lu_solve((lu, piv), system.rhs())
-    alpha, beta = x[:M], x[M:]
+    alpha, beta = x[:L], x[L:]
+    if L < M:
+        rest = su[L + 1 : M + 1]
+        alpha = np.concatenate([alpha, -rest.imag])
+        beta = np.concatenate([beta, -rest.real])
     q = np.append(0.0, alpha - 1j * beta)  # q(t) = Re sum_p q_p e^{ipt}
     theta = unwrap_arg(curve, P) + _series_on_grid(q, P)
     closing = theta[0] + 2.0 * np.pi - theta[-1]

@@ -528,24 +528,32 @@ def _pinned_case(name):
 
 
 class TestQuadratureGrid:
-    """The system is assembled on 4M when its kernel tail is at round-off."""
+    """The system is assembled on a rung of the kernel's own resolution or
+    on 4M when its kernel tail is at round-off."""
 
     @pytest.mark.parametrize(
         "name", ["smooth", "slender", "corner", "cli smooth", "cli slender"]
     )
     def test_benchmark_curves_solve_on_4M(self, name, forced_P, monkeypatch):
+        # smooth and slender keep a rung of L < M modes on 4L nodes; the
+        # others are too small for the probe and solve on 4M
         curve, M, P = _captured(*_pinned_case(name), monkeypatch)
         sol = solve_reparam(curve, M, P)
-        assert (sol.assembly_P, sol.grid_size) == (4 * M, P)
+        if name in ("smooth", "slender"):
+            assert sol.assembly_P < 4 * M and sol.assembly_P % 32 == 0
+        else:
+            assert sol.assembly_P == 4 * M
+        assert sol.grid_size == P
         assert sol.kernel_tail <= reparam_solver.KERNEL_TAIL_TOL
         assert _relative_gap(sol, forced_P(curve, M, P)) <= 1e-13
 
     @pytest.mark.parametrize("b", [0.7, 0.85, 0.95])
     @pytest.mark.parametrize("M", [32, 64, 128])
     def test_peanuts_agree_wherever_4M_is_kept(self, b, M, forced_P):
+        # every accepted coarse grid, a rung or 4M
         curve = _peanut(b)
         sol = solve_reparam(curve, M, 8 * M)
-        if sol.assembly_P == 4 * M:
+        if sol.assembly_P < 8 * M:
             assert _relative_gap(sol, forced_P(curve, M, 8 * M)) <= 1e-13
 
     @pytest.mark.parametrize("M, err", [(32, 1.9e-2), (64, 4.0e-4)])
@@ -628,6 +636,107 @@ class TestQuadratureGrid:
         # a flat envelope is a plateau: carried on flat, relative to the kept peak
         assert reparam_solver._tail(4.0, np.array([1e-14, 1e-14]), M, P) == 2.5e-15
         assert reparam_solver._tail(0.5, np.array([0.0, 0.0]), M, P) == 0.0
+
+
+def _recorded(monkeypatch):
+    """``(M, P, system)`` of every ``assemble_system`` call, in order."""
+    calls = []
+    assemble = reparam_solver.assemble_system
+
+    def record(curve, M, P, **kwargs):
+        calls.append((M, P, assemble(curve, M, P, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(reparam_solver, "assemble_system", record)
+    return calls
+
+
+def _assert_solves_directly_on_4M(sol, curve, calls):
+    """``sol`` and the last call are today's solve on ``4M``, bit for bit."""
+    from scipy.linalg import lu_factor, lu_solve
+
+    M = sol.M
+    direct = reparam_solver.assemble_system(curve, M, 4 * M)
+    assert calls[-1][:2] == (M, 4 * M) and sol.assembly_P == 4 * M
+    for name in ("A", "F", "G"):
+        assert getattr(calls[-1][2], name).tobytes() == getattr(direct, name).tobytes()
+    x = lu_solve(lu_factor(direct.A), direct.rhs())
+    assert sol.alpha.tobytes() == x[:M].tobytes()
+    assert sol.beta.tobytes() == x[M:].tobytes()
+    assert sol.kernel_tail == direct.tail
+
+
+class TestRung:
+    """A probe on ``max(32, max|k|)`` modes finds the kernel's own resolution
+    L; a certified rung of ``L < M`` modes is solved as ``blockdiag(A_L, I)``."""
+
+    @pytest.mark.parametrize("name", ["corner", "cli smooth", "cli slender"])
+    def test_small_configs_assemble_once_on_4M(self, name, monkeypatch):
+        curve, M, P = _captured(*_pinned_case(name), monkeypatch)
+        calls = _recorded(monkeypatch)
+        sol = solve_reparam(curve, M, P)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        _assert_solves_directly_on_4M(sol, curve, calls)
+
+    @pytest.mark.parametrize("name", ["smooth", "slender"])
+    def test_failed_certificate_falls_back_to_4M(self, name, monkeypatch):
+        curve, M, P = _captured(*_pinned_case(name), monkeypatch)
+        calls = _recorded(monkeypatch)
+        monkeypatch.setattr(reparam_solver, "_cut", lambda bands: np.inf)
+        sol = solve_reparam(curve, M, P)
+        # the probe, the rung, then today's system
+        assert [call[:2] for call in calls][0] == (32, 128)
+        assert len(calls) == 3 and calls[1][0] < M
+        monkeypatch.undo()
+        _assert_solves_directly_on_4M(sol, curve, calls)
+
+    @pytest.mark.parametrize("name", ["smooth", "slender"])
+    def test_condition_is_that_of_the_full_system(self, name, monkeypatch):
+        curve, M, P = _captured(*_pinned_case(name), monkeypatch)
+        sol = solve_reparam(curve, M, P)
+        assert sol.assembly_P < 4 * M
+        full = np.linalg.cond(assemble_system(curve, M, 4 * M).A, 1)
+        assert full / 2 <= sol.condition <= 2 * full
+
+    def test_perturbed_ellipse_agrees_with_P(self, forced_P, monkeypatch):
+        curve, M, P = _captured(*_pinned_case("smooth"), monkeypatch)
+        curve = FourierCurve.from_coeffs({**curve.coeffs, 100: 1e-12})
+        sol = solve_reparam(curve, M, P)
+        assert _relative_gap(sol, forced_P(curve, M, P)) <= 1e-13
+
+    def test_origin_near_the_boundary_does_not_alias(self, forced_P, monkeypatch):
+        # the kernel does not see a translation, but ln|z| decays slowly
+        # when the origin nears the boundary: sampled on the rung's 4L
+        # nodes instead of low-passed, it puts the solve 1e-7 off
+        curve, M, P = _captured(*_pinned_case("smooth"), monkeypatch)
+        tip = curve.coeff(1) + curve.coeff(-1)
+        curve = FourierCurve.from_coeffs({**curve.coeffs, 0: -0.99 * tip})
+        sol = solve_reparam(curve, M, P)
+        assert sol.assembly_P < 4 * M
+        assert _relative_gap(sol, forced_P(curve, M, P)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "curve",
+        [FourierCurve((2,), (1.0,)), FourierCurve((1, 2), (1.0, -0.5 * np.exp(-1.98j * np.pi)))],
+        ids=["double-cover", "cusp"],
+    )
+    def test_degenerate_curve_raises_past_the_probe(self, curve):
+        with pytest.raises(SolverError, match="vanished"):
+            solve_reparam(curve, 300, 2400)
+
+    def test_resolution_carries_the_envelope_to_the_tolerance(self):
+        L, rho = 32, 0.5
+        h = L + L // 2
+        tol = reparam_solver.KERNEL_TAIL_TOL
+        bands = np.array([[1.0, rho ** (L + 1), rho ** (h + 1)]])
+        # the envelope rho^(m + 1) reaches the tolerance at this mode
+        mode = np.log(tol) / np.log(rho) - 1.0
+        assert reparam_solver._resolution(bands, L) == pytest.approx(mode, rel=1e-12)
+        assert reparam_solver._resolution(np.array([[4.0, 1e-9, 1e-9]]), L) == np.inf
+        assert reparam_solver._resolution(np.array([[4.0, 1e-12, 0.0]]), L) == h
+        assert reparam_solver._resolution(np.array([[0.5, 1e-14, 1e-14]]), L) == 0.0
+        assert reparam_solver._cut(np.array([[4.0, 1e-12, 2e-12], [0.5, 1e-14, 0]])) == 5e-13
 
 
 class TestInvertTheta:
