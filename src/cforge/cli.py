@@ -214,7 +214,9 @@ def cmd_report(args) -> int:
     solver = provenance.get("solver", {})
     print(
         f"quadrature      : assembly_P={solver.get('assembly_P')} "
-        f"kernel_tail={solver.get('kernel_tail')}"
+        f"kernel_tail={solver.get('kernel_tail')} "
+        f"inverse_nodes={solver.get('inverse_nodes')} "
+        f"inverse_residual={solver.get('inverse_residual')}"
     )
     for key in [f.name for f in fields(DeviationReport)] + ["solver_condition"]:
         print(f"{key:16}: {diag.get(key)}")

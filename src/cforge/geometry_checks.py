@@ -338,24 +338,26 @@ def _path(points) -> str:
 
 
 def _runs(cmap: ComposedMap, zeta_arr):
-    """``(runs, skipped)``: the image of ``zeta_arr`` as one run or, when a
-    stage rejects a sample, point by point, split at the rejected ones."""
-    try:
-        return [evaluate_composed(cmap, zeta_arr)], []
-    except DomainError:
-        pass
-    runs, run, skipped = [], [], []
-    for i, zv in enumerate(zeta_arr):
+    """``(runs, skipped)``: the image of ``zeta_arr`` split at the samples a
+    stage rejects.  A range of samples is evaluated in one call and halved
+    only when that call raises, so each rejected sample costs about
+    ``2 log2(len(zeta_arr))`` calls instead of one call per sample."""
+    images = np.empty(len(zeta_arr), dtype=complex)
+    drawn = np.ones(len(zeta_arr), dtype=bool)
+    ranges = [(0, len(zeta_arr))]
+    while ranges:
+        lo, hi = ranges.pop()
         try:
-            run.append(evaluate_composed(cmap, zv))
+            images[lo:hi] = evaluate_composed(cmap, zeta_arr[lo:hi])
         except DomainError:
-            skipped.append(i)
-            if run:
-                runs.append(np.asarray(run, dtype=complex))
-            run = []
-    if run:
-        runs.append(np.asarray(run, dtype=complex))
-    return runs, skipped
+            if hi - lo == 1:
+                drawn[lo] = False
+            else:
+                ranges += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+    # the ends of each run of drawn samples
+    ends = np.flatnonzero(np.diff(np.concatenate(([0], drawn, [0]))))
+    runs = [images[a:b] for a, b in zip(ends[::2], ends[1::2])]
+    return runs, np.flatnonzero(~drawn).tolist()
 
 
 def render_polar_net(

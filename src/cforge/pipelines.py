@@ -571,7 +571,8 @@ def _composed(
 ) -> ComposedMap:
     """The composed map with its provenance (config snapshot, described
     ``construction`` transforms from domain to solved ``curve``, solver
-    diagnostics with the solved support, quadrature grid and kernel tail,
+    diagnostics with the solved support, quadrature grid, kernel tail and
+    the size and certificate of the correspondence inverse's table,
     ``extra`` entries).  Each pipeline gates its core with
     :func:`_check_injective` where it makes it."""
     provenance = {
@@ -587,6 +588,8 @@ def _composed(
             "condition": sol.condition,
             "assembly_P": sol.assembly_P,
             "kernel_tail": sol.kernel_tail,
+            "inverse_nodes": sol.inverse.nodes,
+            "inverse_residual": sol.inverse.residual,
             "monotone": sol.monotone,
             "neg_residual": core.neg_residual,
         },

@@ -113,8 +113,9 @@ PROBE_MODES = 32
 # the correspondence inverse's certified residual theta' |t - t(theta)|
 # must be below this
 INVERSE_TOL = 1e-10
-# table nodes per grid interval of the correspondence inverse
-INVERSE_UPSAMPLE = 16
+# the correspondence inverse's table has at most this many nodes per grid
+# interval (it starts on two)
+INVERSE_UPSAMPLE = 256
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,9 @@ class ReparamSolution:
     rung, from LAPACK's estimate at 12 significant digits: its last bits
     differ between identical calls.
     ``inverse`` is the certified inverse of ``theta_grid``, built on first
-    use and kept with the solve.
+    use and kept with the solve: every extraction from the solve shares its
+    one table, whose size (``inverse.nodes``, from ``2 grid_size`` up) and
+    certificate (``inverse.residual``) the provenance records.
     """
 
     M: int
@@ -177,7 +180,8 @@ class ReparamSolution:
 
     @cached_property
     def inverse(self):
-        """:func:`correspondence_inverse` of ``theta_grid``, one per solve."""
+        """:func:`correspondence_inverse` of ``theta_grid``, one per solve,
+        on as many nodes as its certificate needs."""
         return correspondence_inverse(self.theta_grid)
 
 
@@ -823,43 +827,48 @@ def correspondence_inverse(theta_grid: np.ndarray):
     ``theta_grid`` holds ``theta`` at ``P = len(theta_grid)`` uniform
     parameters.  The table (:func:`_inverse_table`) samples the
     trigonometric interpolant of ``theta``, its slope and its curvature on
-    ``n = INVERSE_UPSAMPLE P`` nodes; a ``theta`` that is not strictly
-    increasing raises :class:`SolverError`.  A query is reduced by whole
-    turns and answered by one ``searchsorted`` and a quintic Hermite
-    interpolant of ``t(theta)`` (:func:`_hermite`), so
-    ``t(theta + 2 pi) = t(theta) + 2 pi``.
+    ``n`` nodes; a ``theta`` that is not strictly increasing raises
+    :class:`SolverError`.  A query is reduced by whole turns and answered
+    by one ``searchsorted`` and a quintic Hermite interpolant of
+    ``t(theta)`` (:func:`_hermite`), so ``t(theta + 2 pi) = t(theta) + 2 pi``.
 
     The table is certified once, here: its residual ``theta' |t_herm - t|``
     at the ``n`` midpoints (:func:`_inverse_residual`) must be below
-    ``INVERSE_TOL``.  A table that misses it is rebuilt on twice the nodes,
-    up to ``INVERSE_UPSAMPLE^2 P`` (a slope near 0 at a small ``P`` needs
-    the finer table); above that the residual raises :class:`SolverError`.
+    ``INVERSE_TOL``.  The certificate sizes the table: it starts on
+    ``n = 2P``, the fewest nodes that hold every mode of the interpolant
+    (its Nyquist mode ``P/2`` included), and a table that misses the
+    certificate is rebuilt on twice the nodes, up to
+    ``INVERSE_UPSAMPLE P`` (a slope near 0 at a small ``P`` needs the finer
+    table); above that the residual raises :class:`SolverError`.  The
+    callable carries ``nodes``, the certified ``n``, and ``residual``, its
+    certificate.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     P = len(theta_grid)
     c = _half_spectrum(theta_grid - _grid(P))
-    n = INVERSE_UPSAMPLE * P
+    n = 2 * P
     while True:
         table, mid = _inverse_table(c, n)
         residual = _inverse_residual(table, mid)
         if residual < INVERSE_TOL:
             break
-        if n >= INVERSE_UPSAMPLE**2 * P:
+        if n >= INVERSE_UPSAMPLE * P:
             raise SolverError(
                 f"correspondence inverse residual {residual:.3e} on {n} nodes "
                 f"is not below {INVERSE_TOL:.1e}"
             )
         n *= 2
-    nodes, h = table[0], 2.0 * np.pi / n
+    thetas, h = table[0], 2.0 * np.pi / n
 
     def inverse(theta):
         theta = np.asarray(theta, dtype=float)
-        turns = np.floor((theta - nodes[0]) / (2.0 * np.pi))
+        turns = np.floor((theta - thetas[0]) / (2.0 * np.pi))
         x = theta - 2.0 * np.pi * turns
-        j = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, n - 1)
+        j = np.clip(np.searchsorted(thetas, x, side="right") - 1, 0, n - 1)
         t = _hermite(table[:, j], table[:, j + 1], x, j, h) + 2.0 * np.pi * turns
         return float(t) if np.ndim(t) == 0 else t
 
+    inverse.nodes, inverse.residual = n, residual
     return inverse
 
 

@@ -102,6 +102,24 @@ class TestMap:
         assert (out1 / "core.csv").read_bytes() == (out2 / "core.csv").read_bytes()
         assert (out1 / "net.svg").read_bytes() == (out2 / "net.svg").read_bytes()
 
+    def test_ellipse_inverse_on_2P_and_rerun_identical(self, tmp_path):
+        # the 4:1 ellipse's correspondence certifies on its first table, 2P
+        ellipse = {"coeffs": [{"k": -1, "re": 0.375, "im": 0.0},
+                              {"k": 1, "re": 0.625, "im": 0.0}]}
+        cfg = circle_config(tmp_path, boundary=ellipse, M=75, P=300, D=64)
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(["map", "--config", cfg, "--out", str(out1)]) == 0
+        solver = json.loads((out1 / "manifest.json").read_text())["provenance"]["solver"]
+        assert solver["inverse_nodes"] == 2 * 300
+        assert solver["inverse_residual"] < 1e-10
+        assert main(
+            ["map", "--config", str(out1 / "manifest.json"), "--out", str(out2)]
+        ) == 0
+        assert (out1 / "core.csv").read_bytes() == (out2 / "core.csv").read_bytes()
+        rerun = json.loads((out2 / "manifest.json").read_text())["provenance"]["solver"]
+        assert rerun["inverse_nodes"] == solver["inverse_nodes"]
+        assert rerun["inverse_residual"] == solver["inverse_residual"]
+
     def test_corner_config_roundtrip(self, tmp_path):
         t = 2 * np.pi * np.arange(2048) / 2048
         z = corner_contour(t, 1, 2)
@@ -397,10 +415,15 @@ class TestRenderReport:
         text = capsys.readouterr().out
         assert "sup_deviation" in text
         assert "pipeline        : smooth" in text
-        # the unit circle's kernel vanishes: M = 16 is assembled on 4M = 64
+        # the unit circle's kernel vanishes: M = 16 is assembled on 4M = 64,
+        # and its inverse certifies on the first table, 2P = 256 nodes
         manifest = json.loads((out / "manifest.json").read_text())
-        tail = manifest["provenance"]["solver"]["kernel_tail"]
-        assert f"quadrature      : assembly_P=64 kernel_tail={tail}\n" in text
+        solver = manifest["provenance"]["solver"]
+        tail, residual = solver["kernel_tail"], solver["inverse_residual"]
+        assert (
+            f"quadrature      : assembly_P=64 kernel_tail={tail} "
+            f"inverse_nodes=256 inverse_residual={residual}\n"
+        ) in text
 
 
     @pytest.mark.parametrize("key", ["outputs", "stages"])

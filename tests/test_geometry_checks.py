@@ -15,11 +15,11 @@ from cforge import (
     smooth_map,
     univalence_check,
 )
-from cforge.errors import InputError
+from cforge.errors import DomainError, InputError
 from cforge import geometry_checks
 from cforge.fourier_boundary import derivative_curve, eval_curve, horner, unwrap_closed
 from cforge.geometry_checks import _nearest_distance
-from cforge.pipelines import ComposedMap
+from cforge.pipelines import ComposedMap, evaluate_composed
 from cforge.reparam_solver import PolynomialMap, load_polynomial_map
 from cforge.reparam_solver import save_polynomial_map
 from cforge.suites import jordan_positive_curve
@@ -324,6 +324,72 @@ class TestRenderer:
         )
         svg = render_polar_net(cm, spokes=4, circles=2, samples=32)
         assert "data-warning" in svg
+
+    @staticmethod
+    def per_sample_runs(cmap, zeta_arr):
+        """The reference of :func:`geometry_checks._runs`: one evaluation per
+        sample, a run ended at each rejected one."""
+        runs, run, skipped = [], [], []
+        for i, zv in enumerate(zeta_arr):
+            try:
+                run.append(evaluate_composed(cmap, zv))
+            except DomainError:
+                skipped.append(i)
+                if run:
+                    runs.append(np.asarray(run, dtype=complex))
+                run = []
+        if run:
+            runs.append(np.asarray(run, dtype=complex))
+        return runs, skipped
+
+    def assert_runs_match_per_sample(self, cmap, zeta_arr):
+        runs, skipped = geometry_checks._runs(cmap, zeta_arr)
+        expect, expect_skipped = self.per_sample_runs(cmap, zeta_arr)
+        assert skipped == expect_skipped
+        assert [len(r) for r in runs] == [len(r) for r in expect]
+        # the core's matrix product rounds by batch size, and a root stage
+        # near its branch point magnifies that: measured 1.6e-15 of 1.05
+        for run, ref in zip(runs, expect):
+            assert np.max(np.abs(run - ref)) <= 1e-14 * np.max(np.abs(ref))
+        return skipped
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 300),
+        on_cut=st.lists(st.integers(0, 299), max_size=40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_runs_bisect_to_the_rejected_samples(self, n, on_cut, seed):
+        # the cf_root stage rejects its cut, here every real zeta
+        cm = ComposedMap(
+            stages=(
+                PlaneTransform("affine", (1.0, -4.0)),
+                PlaneTransform("cf_root", (1, 2, 3)),
+            ),
+            core=PolynomialMap(coeffs=[0.0, 1.0], neg_residual=0.0),
+        )
+        rng = np.random.default_rng(seed)
+        zeta = 0.9 * rng.uniform(-1, 1, n) * np.exp(1j * rng.uniform(0.1, 3.0, n))
+        cut = [i for i in on_cut if i < n]
+        zeta[cut] = zeta[cut].real
+        assert self.assert_runs_match_per_sample(cm, zeta) == sorted(set(cut))
+
+    def test_corner_map_runs_match_per_sample(self):
+        from cforge import corner_map
+
+        from contours import corner_contour
+
+        # a criterion-7 corner at cli sizes: zeta = -1 lands on the root's cut
+        t = 2 * np.pi * np.arange(1024) / 1024
+        cm = corner_map(PipelineConfig(
+            samples=corner_contour(t, 1, 3), corner={"t0": 0.0, "k": 1, "N": 3},
+            M=64, P=512, D=50, n_iter=6, refit_degree=32,
+        ))
+        ring = np.exp(2j * np.pi * np.arange(257) / 256)
+        spoke = np.linspace(0.0, 1.0, 256) * -1.0
+        arc = np.exp(1j * (np.pi + np.linspace(-0.1, 0.1, 101)))
+        for zeta, skipped in ((ring, [128]), (spoke, [255]), (arc, [50])):
+            assert self.assert_runs_match_per_sample(cm, zeta) == skipped
 
     def test_validation(self):
         with pytest.raises(InputError):

@@ -553,10 +553,16 @@ class TestBackbone:
             "condition": prov["solver"]["condition"],
             "assembly_P": ASSEMBLY_PER_M[kind] * cfg.M,
             "kernel_tail": prov["solver"]["kernel_tail"],
+            "inverse_nodes": prov["solver"]["inverse_nodes"],
+            "inverse_residual": prov["solver"]["inverse_residual"],
             "monotone": True,
             "neg_residual": cm.core.neg_residual,
         }
         assert prov["solver"]["kernel_tail"] <= reparam_solver.KERNEL_TAIL_TOL
+        # the certified table: 2P doubled as often as its certificate needs
+        doublings = np.log2(prov["solver"]["inverse_nodes"] / (2 * cfg.P))
+        assert doublings == int(doublings) and 0 <= doublings <= 7
+        assert 0.0 <= prov["solver"]["inverse_residual"] < reparam_solver.INVERSE_TOL
         assert (cm.core.solver_M, cm.core.solver_P) == (cfg.M, cfg.P)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cforge import (
@@ -916,6 +916,94 @@ class TestCorrespondenceInverse:
         t = inv(th)
         assert np.max(np.abs(theta(t) - th)) <= INVERSE_TOL
         assert np.all(np.diff(t[401:]) > 0.0)
+        # the first table, 2P, misses the certificate: the ladder climbs
+        assert inv.nodes > 2 * 64 and inv.nodes % (2 * 64) == 0
+        assert inv.residual < INVERSE_TOL
+
+    def test_ellipse_certifies_on_2P(self):
+        sol = solve_reparam(_ellipse(), 75, 300)
+        assert sol.inverse.nodes == 2 * 300
+        assert sol.inverse.residual < INVERSE_TOL
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shift=st.floats(-np.pi, np.pi),
+        weights=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+        slack=st.floats(0.1, 0.9),
+        phase=st.floats(0.0, 2 * np.pi),
+        P=st.sampled_from([32, 64, 128, 256]),
+    )
+    def test_agrees_with_a_16P_table(self, shift, weights, slack, phase, P):
+        ks = np.arange(1, len(weights) + 1)
+        mass = float(np.sum(ks * np.abs(weights)))
+        amps = np.asarray(weights) / (mass if mass > 0 else 1.0) * (1.0 - slack)
+        theta = self.band_limited_theta(shift, amps, phase * ks)
+        grid = theta(2 * np.pi * np.arange(P) / P)
+        # the reference: one table on 16P nodes, queried at its own midpoints
+        n = 16 * P
+        c = reparam_solver._half_spectrum(grid - 2 * np.pi * np.arange(P) / P)
+        table, mid = reparam_solver._inverse_table(c, n)
+        assume(reparam_solver._inverse_residual(table, mid) < INVERSE_TOL)
+        j = np.arange(n)
+        h = 2 * np.pi / n
+        x = (j + 0.5) * h + mid
+        reference = reparam_solver._hermite(table[:, j], table[:, j + 1], x, j, h)
+        t = correspondence_inverse(grid)(x)
+        # in the certificate's measure theta' |t - t_ref|, slope at t_ref
+        waves = np.multiply.outer(ks, reference) + (phase * ks)[:, None]
+        slope = 1.0 + (ks * amps) @ np.cos(waves)
+        assert np.max(slope * np.abs(t - reference)) <= 2 * INVERSE_TOL
+
+
+class TestEllipseOracle:
+    """The 4:1 ellipse ``x^2/a^2 + y^2/b^2 = 1`` is ``z(t) = c cos(t - i mu)``
+    with ``tanh mu = b/a``; its disk map's boundary correspondence is
+    ``theta(t) = arg sn(K (1 - 2t/pi) + i K'/2 | k)`` with ``K'/K = 4 mu/pi``,
+    that is nome ``e^{-4 mu}`` (Kober, *Dictionary of Conformal
+    Representations*, 1957)."""
+
+    M, P, D = 75, 300, 1200
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        import mpmath
+
+        a, b = 1.0, 0.25
+        t = 2 * np.pi * np.arange(self.P) / self.P
+        with mpmath.workdps(20):
+            mu = mpmath.atanh(mpmath.mpf(b) / a)
+            m = mpmath.kfrom(q=mpmath.exp(-4 * mu)) ** 2
+            K, Kp = mpmath.ellipk(m), mpmath.ellipk(1 - m)
+            theta = [
+                float(mpmath.arg(mpmath.ellipfun(
+                    "sn", K * (1 - 2 * mpmath.mpf(float(v)) / mpmath.pi) + 0.5j * Kp, m=m
+                )))
+                for v in t
+            ]
+        return t, np.asarray(theta), a * np.cos(t) + 1j * b * np.sin(t)
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        return solve_reparam(_ellipse(), self.M, self.P)
+
+    def test_theta_matches_the_exact_correspondence(self, exact, solved):
+        _, theta, _ = exact
+        gap = np.angle(np.exp(1j * (solved.theta_grid - theta)))
+        # measured 2.3e-10 at M = 75: the truncation of q, not the solve
+        assert np.max(np.abs(gap)) <= 5e-10
+
+    def test_true_error_is_the_sup_deviation(self, exact, solved):
+        from cforge import ComposedMap
+        from cforge.geometry_checks import boundary_deviation
+
+        _, theta, z = exact
+        core = taylor_coeffs(_ellipse(), solved, self.D)
+        # the core from the 2P table against the exact boundary correspondence
+        assert solved.inverse.nodes == 2 * self.P
+        true = float(np.max(np.abs(core(np.exp(1j * theta)) - z)))
+        sup = boundary_deviation(ComposedMap((), core), _ellipse()).sup_deviation
+        assert true == pytest.approx(sup, rel=1e-3)
+        assert true == pytest.approx(3.049e-2, rel=1e-3)
 
 
 class TestTaylor:
