@@ -218,6 +218,15 @@ def cmd_report(args) -> int:
         f"inverse_nodes={solver.get('inverse_nodes')} "
         f"inverse_residual={solver.get('inverse_residual')}"
     )
+    slender = provenance.get("slender")
+    if slender is not None:
+        log = slender.get("anchor_search", [])
+        chosen = [e["frac"] for e in log if e.get("anchor") == slender.get("anchor")]
+        print(
+            f"anchor_search   : candidates={len(log)} "
+            f"rejected={sum('rejected' in e for e in log)} "
+            f"frac={chosen[0] if chosen else 'pinned'}"
+        )
     for key in [f.name for f in fields(DeviationReport)] + ["solver_condition"]:
         print(f"{key:16}: {diag.get(key)}")
     for name, path in manifest.get("outputs", {}).items():

@@ -337,11 +337,11 @@ def _path(points) -> str:
     return f'<polyline fill="none" points="{coords}"/>'
 
 
-def _runs(cmap: ComposedMap, zeta_arr):
-    """``(runs, skipped)``: the image of ``zeta_arr`` split at the samples a
-    stage rejects.  A range of samples is evaluated in one call and halved
-    only when that call raises, so each rejected sample costs about
-    ``2 log2(len(zeta_arr))`` calls instead of one call per sample."""
+def _evaluated(cmap: ComposedMap, zeta_arr):
+    """``(images, drawn)``: the image of ``zeta_arr`` and the mask of the
+    samples no stage rejects.  A range of samples is evaluated in one call
+    and halved only when that call raises, so each rejected sample costs
+    about ``2 log2(len(zeta_arr))`` calls instead of one call per sample."""
     images = np.empty(len(zeta_arr), dtype=complex)
     drawn = np.ones(len(zeta_arr), dtype=bool)
     ranges = [(0, len(zeta_arr))]
@@ -354,7 +354,12 @@ def _runs(cmap: ComposedMap, zeta_arr):
                 drawn[lo] = False
             else:
                 ranges += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
-    # the ends of each run of drawn samples
+    return images, drawn
+
+
+def _runs(images, drawn):
+    """``(runs, skipped)``: ``images`` split into the runs of ``drawn``
+    samples, and the indices of the others."""
     ends = np.flatnonzero(np.diff(np.concatenate(([0], drawn, [0]))))
     runs = [images[a:b] for a, b in zip(ends[::2], ends[1::2])]
     return runs, np.flatnonzero(~drawn).tolist()
@@ -369,10 +374,11 @@ def render_polar_net(
     and ``spokes`` radii of the unit disk, plus the image of the unit circle
     as the boundary.  Output is deterministic: fixed path order (circles by
     radius, spokes by angle, boundary last), floats at 12 significant
-    digits.  Every sample is evaluated in one call.  Samples that a stage
-    rejects (a stage-domain failure) are left out instead of aborting the
-    figure: the curve is drawn as a group of polylines split at those
-    samples, annotated with their indices.
+    digits.  The samples of every curve are evaluated together, each about
+    once (:func:`_evaluated`).  Samples that a stage rejects (a stage-domain
+    failure) are left out instead of aborting the figure: the curve is
+    drawn as a group of polylines split at those samples, annotated with
+    their indices.
     """
     if spokes < 1 or circles < 1:
         raise InputError("need at least one spoke and one circle")
@@ -385,15 +391,12 @@ def render_polar_net(
         for j in range(spokes)
     ]
     curves.append(ring)
-    try:
-        values = evaluate_composed(cmap, np.concatenate(curves))
-        ends = np.cumsum([len(c) for c in curves[:-1]])
-        drawn = [([image], []) for image in np.split(values, ends)]
-    except DomainError:
-        drawn = [_runs(cmap, zeta_arr) for zeta_arr in curves]
+    images, drawn = _evaluated(cmap, np.concatenate(curves))
+    ends = np.cumsum([len(c) for c in curves[:-1]])
     paths = []
     all_pts = []
-    for runs, skipped in drawn:
+    for image, ok in zip(np.split(images, ends), np.split(drawn, ends)):
+        runs, skipped = _runs(image, ok)
         all_pts.extend(runs)
         if not skipped:
             paths.append(_path(runs[0]))

@@ -730,27 +730,53 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     sol, base_core = _solve_core(squared_curve, base_anchor, cfg)
     from .geometry_checks import boundary_distances
 
-    def core_at(anchor: complex) -> PolynomialMap:
-        # every candidate samples the one solve through a disk automorphism
-        core = base_core
-        if anchor != base_anchor:
-            center = _reanchor(base_core, base_anchor, anchor)
-            core = taylor_coeffs(_translate(squared_curve, -anchor), sol, cfg.D, center)
+    def cores_at(anchors) -> list:
+        """``(core, preimage log)`` per anchor, the core replaced by the
+        :class:`PipelineError` that rejects it.  Every candidate samples the
+        one solve through a disk automorphism: the preimages come from one
+        batched Newton (:func:`_reanchor`), the re-anchored cores from one
+        stacked extraction; the base anchor keeps the base core, preimage 0."""
+        moved = np.array([an for an in anchors if an != base_anchor], dtype=complex)
+        betas, steps, residuals, errors = _reanchor(base_core, base_anchor, moved)
+        ok = np.array([error is None for error in errors], dtype=bool)
+        cores = iter(
+            taylor_coeffs(squared_curve, sol, cfg.D, betas[ok], -moved[ok])
+            if ok.any() else ()
+        )
+        found = iter(zip(steps.tolist(), residuals, errors))
+        out = []
+        for anchor in anchors:
+            if anchor == base_anchor:
+                n, residual, core = 0, float(abs(base_core.coeffs[0])), base_core
+            else:
+                n, residual, error = next(found)
+                core = error or next(cores)
+            out.append((core, {"preimage_steps": n, "preimage_residual": residual}))
+        return out
+
+    def gated(core) -> PolynomialMap:
+        # a candidate without a preimage, or whose core is not locally
+        # injective, raises its PipelineError here
+        if isinstance(core, PipelineError):
+            raise core
         _check_injective(core)
         return core
 
     search_log = []
     if cfg.anchor is not None:
-        chosen_anchor, chosen = cfg.anchor, core_at(cfg.anchor)
+        [(core, _)] = cores_at([cfg.anchor])
+        chosen_anchor, chosen = cfg.anchor, gated(core)
     else:
         distance = boundary_distances(curve, ANCHOR_SEARCH_GRID)
+        anchors = [base_anchor + f * (u_centroid - base_anchor) for f in ANCHOR_FRACTIONS]
         best = None
-        for frac in ANCHOR_FRACTIONS:
-            anchor = base_anchor + frac * (u_centroid - base_anchor)
-            entry = {"frac": frac, "anchor": [anchor.real, anchor.imag]}
+        for frac, anchor, (core, preimage) in zip(
+            ANCHOR_FRACTIONS, anchors, cores_at(anchors)
+        ):
+            entry = {"frac": frac, "anchor": [anchor.real, anchor.imag], **preimage}
             search_log.append(entry)
             try:
-                core = core_at(anchor)
+                core = gated(core)
                 _, stages = _fold(cfg, 1, 2, a, direction, anchor)
                 score = float(np.max(distance(ComposedMap(stages, core))))
             except (PipelineError, InputError, DomainError) as exc:
@@ -781,42 +807,65 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     )
 
 
-def _reanchor(core: PolynomialMap, old_anchor, new_anchor) -> complex:
-    """Preimage ``beta`` of ``new_anchor`` under the solve anchored at
-    ``old_anchor``: the solve re-anchored is that solve composed with the
-    disk automorphism sending 0 to ``beta``.  ``core`` is the Taylor core
-    at ``old_anchor``; Newton on it must keep its iterates in the unit disk
-    and bring ``|core(beta) - target|`` within ``REANCHOR_TOL`` of the
-    core's scale.
+def _reanchor(core: PolynomialMap, old_anchor, new_anchors):
+    """Preimages ``beta`` of each of ``new_anchors`` under the solve
+    anchored at ``old_anchor``: the solve re-anchored is that solve composed
+    with the disk automorphism sending 0 to ``beta``.  ``core`` is the
+    Taylor core at ``old_anchor``.
+
+    Returns ``(betas, steps, residuals, errors)``, one entry per anchor.
+    One Newton runs on all of them: each step evaluates the core and its
+    derivative by one :func:`horner` call at every live ``beta``.  Each
+    anchor keeps its own stopping rule (a step below 1e-15, a zero slope or
+    ``REANCHOR_STEPS`` steps), and must keep its iterates in the unit disk
+    (it leaves the live set the step it leaves, with no residual) and
+    bring ``|core(beta) - target|`` within ``REANCHOR_TOL`` of the core's
+    scale; ``errors`` holds the :class:`PipelineError` of each anchor that
+    fails, None for the others.
     """
-    target = new_anchor - old_anchor
+    new_anchors = np.asarray(new_anchors, dtype=complex).reshape(-1)
+    targets = new_anchors - old_anchor
+    n = len(targets)
     # the core and its derivative, one row each
     c_dc = np.stack([core.coeffs, np.append(core.derivative_coeffs(), 0.0)])
-    beta = 0.0 + 0.0j
-    for steps in range(1, REANCHOR_STEPS + 1):
-        value, slope = horner(c_dc, beta)
-        if slope == 0:
+    betas = np.zeros(n, dtype=complex)
+    steps = np.zeros(n, dtype=int)
+    residuals = [None] * n
+    errors = [None] * n
+    live = np.arange(n)
+    for step_no in range(1, REANCHOR_STEPS + 1):
+        if not live.size:
             break
-        step = complex(value - target) / complex(slope)
-        beta -= step
-        if abs(beta) > 1.0:
-            raise PipelineError(
-                f"anchor {new_anchor} is not an interior point of the solve: "
-                f"the preimage Newton left the unit disk at step {steps}"
+        value, slope = horner(c_dc, betas[live])
+        steps[live] = step_no
+        flat = slope == 0
+        live, value, slope = live[~flat], value[~flat], slope[~flat]
+        step = (value - targets[live]) / slope
+        betas[live] -= step
+        left = np.abs(betas[live]) > 1.0
+        for i in live[left]:
+            errors[i] = PipelineError(
+                f"anchor {complex(new_anchors[i])} is not an interior point of the "
+                f"solve: the preimage Newton left the unit disk at step {step_no}"
             )
-        if abs(step) < 1e-15:
-            break
-    residual = abs(core(beta) - target)
-    if not residual <= REANCHOR_TOL * float(np.max(np.abs(core.coeffs))):
-        raise PipelineError(
-            f"anchor preimage Newton did not converge: residual {residual:.3e} "
-            f"after {steps} steps"
-        )
-    if abs(beta) >= 1.0:
-        raise PipelineError(
-            f"anchor {new_anchor} is not an interior point of the solve"
-        )
-    return beta
+        live = live[~left & ~(np.abs(step) < 1e-15)]
+    done = np.array([e is None for e in errors], dtype=bool)
+    if np.any(done):
+        found = np.abs(core(betas[done]) - targets[done])
+        scale = REANCHOR_TOL * float(np.max(np.abs(core.coeffs)))
+        for i, residual in zip(np.flatnonzero(done), found.tolist()):
+            residuals[i] = residual
+            if not residual <= scale:
+                errors[i] = PipelineError(
+                    f"anchor preimage Newton did not converge: residual "
+                    f"{residual:.3e} after {steps[i]} steps"
+                )
+            elif abs(betas[i]) >= 1.0:
+                errors[i] = PipelineError(
+                    f"anchor {complex(new_anchors[i])} is not an interior point "
+                    "of the solve"
+                )
+    return betas, steps, residuals, errors
 
 
 # ---------------------------------------------------------------------------

@@ -878,7 +878,8 @@ def taylor_from_correspondence(
     D: int,
     center: complex = 0j,
     inverse=None,
-) -> PolynomialMap:
+    offset=0.0,
+):
     """Taylor coefficients of the disk map with boundary correspondence
     ``theta_grid`` (values at uniform curve parameters), composed with the
     disk automorphism ``zeta -> (zeta + center)/(1 + conj(center) zeta)``.
@@ -892,6 +893,12 @@ def taylor_from_correspondence(
     vol. 3, 1986); the same samples give the negative-frequency
     coefficients whose l2 norm becomes ``neg_residual``.  The output is
     gauge-fixed by the rotation making ``c_1`` real positive.
+
+    A scalar ``center`` gives one :class:`PolynomialMap`.  A 1-D array of
+    centers gives a list, one map per center, from one ``(rows, Q)`` query
+    of ``inverse``, one :func:`eval_curve` and one FFT along the last axis;
+    ``offset`` (a scalar or one per center) is added to each row's samples,
+    so a row is the map of ``curve`` translated by its offset.
     """
     if D < 1:
         raise InputError("D must be >= 1")
@@ -900,36 +907,46 @@ def taylor_from_correspondence(
     Q = max(4 * D, 256)
     theta0 = float(theta_grid[0])
     phis = theta0 + 2.0 * np.pi * np.arange(Q) / Q
-    thetas = phis + 2.0 * np.angle(1.0 + center * np.exp(-1j * phis))
+    centers = np.reshape(np.asarray(center, dtype=complex), (-1, 1))
+    thetas = phis + 2.0 * np.angle(1.0 + centers * np.exp(-1j * phis))
     samples = eval_curve(curve, inverse(thetas))
+    if np.any(offset):
+        samples += np.reshape(offset, (-1, 1))
     spectrum = np.fft.fft(samples) / Q
     k_pos = np.arange(D + 1)
-    coeffs = spectrum[k_pos] * np.exp(-1j * k_pos * theta0)
     k_neg = np.arange(1, D + 1)
-    neg = spectrum[(-k_neg) % Q] * np.exp(1j * k_neg * theta0)
-    phase = np.angle(coeffs[1]) if abs(coeffs[1]) > 0 else 0.0
-    coeffs = coeffs * np.exp(-1j * k_pos * phase)
-    return PolynomialMap(coeffs=coeffs, neg_residual=float(np.linalg.norm(neg)))
+    shift_pos = np.exp(-1j * k_pos * theta0)
+    shift_neg = np.exp(1j * k_neg * theta0)
+    maps = []
+    for row in spectrum:
+        coeffs = row[k_pos] * shift_pos
+        neg = row[-k_neg] * shift_neg
+        phase = np.angle(coeffs[1]) if abs(coeffs[1]) > 0 else 0.0
+        coeffs = coeffs * np.exp(-1j * k_pos * phase)
+        maps.append(PolynomialMap(coeffs=coeffs, neg_residual=float(np.linalg.norm(neg))))
+    return maps if np.ndim(center) else maps[0]
 
 
 def taylor_coeffs(
-    curve: FourierCurve, sol: ReparamSolution, D: int, center: complex = 0j
-) -> PolynomialMap:
+    curve: FourierCurve, sol: ReparamSolution, D: int, center: complex = 0j, offset=0.0
+):
     """Taylor coefficients of an accepted solve (see
-    :func:`taylor_from_correspondence`) from its one inverse table, stamped
+    :func:`taylor_from_correspondence`, whose array ``center`` and
+    ``offset`` give a list of maps) from its one inverse table, stamped
     with the solver resolution."""
     if not sol.monotone:
         raise NonMonotoneThetaError(
             "cannot extract coefficients from a rejected (non-monotone) "
             "correspondence; increase M/P"
         )
-    pmap = taylor_from_correspondence(curve, sol.theta_grid, D, center, sol.inverse)
-    return PolynomialMap(
-        coeffs=pmap.coeffs,
-        neg_residual=pmap.neg_residual,
-        solver_M=sol.M,
-        solver_P=sol.grid_size,
+    pmaps = taylor_from_correspondence(
+        curve, sol.theta_grid, D, center, sol.inverse, offset
     )
+
+    def stamped(pmap):
+        return replace(pmap, solver_M=sol.M, solver_P=sol.grid_size)
+
+    return [stamped(p) for p in pmaps] if np.ndim(center) else stamped(pmaps)
 
 
 # ---------------------------------------------------------------------------

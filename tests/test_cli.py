@@ -424,6 +424,27 @@ class TestRenderReport:
             f"quadrature      : assembly_P=64 kernel_tail={tail} "
             f"inverse_nodes=256 inverse_residual={residual}\n"
         ) in text
+        assert "anchor_search" not in text
+
+    @pytest.mark.parametrize("anchor", [None, [4.0, 0.0]], ids=["search", "pinned"])
+    def test_report_prints_the_anchor_search(self, tmp_path, capsys, anchor):
+        # the 4:1 ellipse at this size rejects fractions 0 and 0.125 (their
+        # cores wind 28 and 14 times) and keeps 0.25
+        coeffs = [{"k": -1, "re": 0.375, "im": 0.0}, {"k": 1, "re": 0.625, "im": 0.0}]
+        cfg = circle_config(
+            tmp_path, boundary={"coeffs": coeffs}, slender={},
+            M=32, P=256, D=64, n_iter=20, anchor=anchor,
+        )
+        if anchor is not None:  # the unit circle about a = -2, pinned
+            cfg = circle_config(tmp_path, slender={"a_re": -2.0}, anchor=anchor)
+        out = tmp_path / "run"
+        assert main(["map", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--manifest", str(out / "manifest.json")]) == 0
+        expect = "candidates=5 rejected=2 frac=0.25" if anchor is None else (
+            "candidates=0 rejected=0 frac=pinned"
+        )
+        assert f"anchor_search   : {expect}\n" in capsys.readouterr().out
 
 
     @pytest.mark.parametrize("key", ["outputs", "stages"])

@@ -327,8 +327,9 @@ class TestRenderer:
 
     @staticmethod
     def per_sample_runs(cmap, zeta_arr):
-        """The reference of :func:`geometry_checks._runs`: one evaluation per
-        sample, a run ended at each rejected one."""
+        """The reference of :func:`geometry_checks._evaluated` split by
+        :func:`geometry_checks._runs`: one evaluation per sample, a run
+        ended at each rejected one."""
         runs, run, skipped = [], [], []
         for i, zv in enumerate(zeta_arr):
             try:
@@ -343,7 +344,7 @@ class TestRenderer:
         return runs, skipped
 
     def assert_runs_match_per_sample(self, cmap, zeta_arr):
-        runs, skipped = geometry_checks._runs(cmap, zeta_arr)
+        runs, skipped = geometry_checks._runs(*geometry_checks._evaluated(cmap, zeta_arr))
         expect, expect_skipped = self.per_sample_runs(cmap, zeta_arr)
         assert skipped == expect_skipped
         assert [len(r) for r in runs] == [len(r) for r in expect]

@@ -329,12 +329,12 @@ class TestSlender:
     def test_anchor_search_extracts_base_core_once(self, monkeypatch):
         from cforge import pipelines, reparam_solver
 
-        calls = []
+        rows = []
         extract = reparam_solver.taylor_from_correspondence
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return extract(*args, **kwargs)
+        def counted(curve, theta_grid, D, center=0j, *args, **kwargs):
+            rows.append(np.size(center))
+            return extract(curve, theta_grid, D, center, *args, **kwargs)
 
         # every core is made by taylor_coeffs, which resolves this name
         monkeypatch.setattr(reparam_solver, "taylor_from_correspondence", counted)
@@ -343,22 +343,26 @@ class TestSlender:
             n_iter=20,
         )
         cm = slender_map(cfg)
-        # the base core plus one per re-anchored candidate
-        assert len(calls) == len(pipelines.ANCHOR_FRACTIONS)
-        assert len(cm.provenance["slender"]["anchor_search"]) == len(calls)
+        # the base core plus one row per re-anchored candidate, in one call
+        assert rows == [1, len(pipelines.ANCHOR_FRACTIONS) - 1]
+        assert len(cm.provenance["slender"]["anchor_search"]) == sum(rows)
 
     def test_reanchor_newton_must_converge(self):
         from cforge.pipelines import _reanchor
         from cforge.reparam_solver import PolynomialMap
 
-        # Newton on beta^3 - 2 beta + 2 from 0 cycles 0 -> 1 -> 0 exactly
+        # Newton on beta^3 - 2 beta + 2 from 0 cycles 0 -> 1 -> 0 exactly,
+        # while a reachable target in the same batch converges to an
+        # interior preimage
         core = PolynomialMap(coeffs=[0.0, -2.0, 0.0, 1.0], neg_residual=0.0)
+        betas, steps, residuals, errors = _reanchor(core, 0.0, [-2.0, -0.5])
         with pytest.raises(PipelineError, match=r"residual 2\.000e\+00 after 80 steps"):
-            _reanchor(core, 0.0, -2.0)
-        # a reachable target converges to an interior preimage
-        beta = _reanchor(core, 0.0, -0.5)
-        assert abs(beta) < 1
-        assert abs(core(beta) + 0.5) <= pipelines.REANCHOR_TOL * 2.0  # max |coeff|
+            raise errors[0]
+        assert steps[0] == 80 and residuals[0] == 2.0
+        assert errors[1] is None and steps[1] < 80
+        assert abs(betas[1]) < 1
+        assert abs(core(betas[1]) + 0.5) <= pipelines.REANCHOR_TOL * 2.0  # max |coeff|
+        assert residuals[1] == abs(core(betas[1:2])[0] + 0.5)
 
     def test_reanchor_stops_when_newton_leaves_the_disk(self, monkeypatch):
         from cforge.pipelines import _reanchor
@@ -367,16 +371,21 @@ class TestSlender:
         calls = []
 
         def counted(coeffs, z):
-            calls.append(np.shape(coeffs))
+            calls.append((np.shape(coeffs), np.shape(z)))
             return horner(coeffs, z)
 
         monkeypatch.setattr(pipelines, "horner", counted)
-        # Newton on 2 beta - 3 from 0 lands on the preimage 3/2 at once
+        # Newton on 2 beta - t from 0 lands on the preimage t/2 at once: 3/2
+        # leaves the disk at step 1, 1/2 stops at step 2 (a zero step)
         core = PolynomialMap(coeffs=[0.0, 2.0], neg_residual=0.0)
+        betas, steps, residuals, errors = _reanchor(core, 0.0, [3.0, 1.0])
         with pytest.raises(PipelineError, match="left the unit disk at step 1"):
-            _reanchor(core, 0.0, 3.0)
-        # value and slope come from one two-row evaluation per step
-        assert calls == [(2, 2)]
+            raise errors[0]
+        assert steps.tolist() == [1, 2] and residuals == [None, 0.0]
+        assert errors[1] is None and betas[1] == 0.5
+        # value and slope come from one two-row evaluation per step, at
+        # every live preimage; the one that left is not evaluated again
+        assert calls == [((2, 2), (2,)), ((2, 2), (1,))]
 
     @pytest.mark.parametrize("M, P, D", [(150, 600, 2000), (300, 1200, 4000)])
     def test_slender_8_to_1_rejects_anchors_outside_the_solve(self, M, P, D, monkeypatch):
@@ -385,11 +394,9 @@ class TestSlender:
         reanchor, outcomes = pipelines._reanchor, []
 
         def recorded(*args):
-            try:
-                return reanchor(*args)
-            except PipelineError as exc:
-                outcomes.append(str(exc))
-                raise
+            found = reanchor(*args)
+            outcomes.extend(str(exc) for exc in found[3] if exc is not None)
+            return found
 
         monkeypatch.setattr(pipelines, "_reanchor", recorded)
         cfg = PipelineConfig(
@@ -404,6 +411,172 @@ class TestSlender:
         # solved disk: Newton leaves it at once, with no overflow
         assert len(outcomes) == 2
         assert all("left the unit disk at step 1" in text for text in outcomes)
+
+
+def _scalar_reanchor(core, old_anchor, new_anchor):
+    """``(beta, steps, residual)``: the one-anchor preimage Newton of the
+    per-candidate search, in scalar arithmetic."""
+    target = new_anchor - old_anchor
+    c_dc = np.stack([core.coeffs, np.append(core.derivative_coeffs(), 0.0)])
+    beta = 0.0 + 0.0j
+    for steps in range(1, pipelines.REANCHOR_STEPS + 1):
+        value, slope = horner(c_dc, beta)
+        if slope == 0:
+            break
+        step = complex(value - target) / complex(slope)
+        beta -= step
+        if abs(beta) > 1.0:
+            raise PipelineError(
+                f"anchor {new_anchor} is not an interior point of the solve: "
+                f"the preimage Newton left the unit disk at step {steps}"
+            )
+        if abs(step) < 1e-15:
+            break
+    residual = abs(core(beta) - target)
+    if not residual <= pipelines.REANCHOR_TOL * float(np.max(np.abs(core.coeffs))):
+        raise PipelineError(
+            f"anchor preimage Newton did not converge: residual {residual:.3e} "
+            f"after {steps} steps"
+        )
+    if abs(beta) >= 1.0:
+        raise PipelineError(f"anchor {new_anchor} is not an interior point of the solve")
+    return beta, steps, residual
+
+
+def reference_search(cfg):
+    """``(log, chosen anchor or None)`` of the anchor search run one
+    candidate at a time: a scalar preimage Newton and a one-row extraction
+    from the curve translated to each anchor, then the gate and the score."""
+    curve, _ = pipelines._refit(cfg)
+    samples = pipelines._boundary_samples(cfg)
+    a = cfg.slender["a"]
+    if a is None:
+        a = pipelines._default_a(curve, samples)
+    direction, squared = pipelines._straighten(samples, a, 1, 2, np.pi / 2)
+    squared_curve, _ = pipelines._refit(cfg, squared, "squared boundary")
+    base_anchor = PlaneTransform("power", (2, 1))((curve.coeff(0) - a) / direction)
+    _, u_centroid = area_centroid(squared)
+    sol, base_core = pipelines._solve_core(squared_curve, base_anchor, cfg)
+    distance = geometry_checks.boundary_distances(curve, pipelines.ANCHOR_SEARCH_GRID)
+    log, best = [], None
+    for frac in pipelines.ANCHOR_FRACTIONS:
+        anchor = base_anchor + frac * (u_centroid - base_anchor)
+        entry = {"frac": frac, "anchor": [anchor.real, anchor.imag]}
+        log.append(entry)
+        try:
+            core = base_core
+            if anchor != base_anchor:
+                beta, entry["preimage_steps"], _ = _scalar_reanchor(
+                    base_core, base_anchor, anchor
+                )
+                moved = pipelines._translate(squared_curve, -anchor)
+                core = reparam_solver.taylor_coeffs(moved, sol, cfg.D, beta)
+            pipelines._check_injective(core)
+            _, stages = pipelines._fold(cfg, 1, 2, a, direction, anchor)
+            score = float(np.max(distance(pipelines.ComposedMap(stages, core))))
+        except (PipelineError, InputError, DomainError) as exc:
+            entry["rejected"] = str(exc)
+            continue
+        entry["sup_deviation"] = score
+        if best is None or score < best[0] * (1.0 - pipelines.ANCHOR_TIE_RTOL):
+            best = (score, entry["anchor"])
+    return log, None if best is None else best[1]
+
+
+def _pinned_ellipse(seed):
+    """The benchmark's slender ellipse x^2 + 16 y^2 = 1 under the rigid
+    motion its ``seed`` picks."""
+    rng = np.random.default_rng(seed)
+    rot = np.exp(2j * np.pi * int(rng.integers(1024)) / 1024)
+    shift = rng.uniform(2.0, 3.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return FourierCurve((-1, 0, 1), (0.375 * rot, shift, 0.625 * rot))
+
+
+class TestBatchedAnchorSearch:
+    """The batched search against the one-candidate-at-a-time reference."""
+
+    def assert_matches_reference(self, log, chosen, ref_log, ref_chosen):
+        assert [e["anchor"] for e in log] == [e["anchor"] for e in ref_log]
+        assert [e.get("rejected") for e in log] == [e.get("rejected") for e in ref_log]
+        assert chosen == ref_chosen
+        for entry, ref in zip(log, ref_log):
+            if "sup_deviation" in ref:
+                assert entry["sup_deviation"] == pytest.approx(
+                    ref["sup_deviation"], rel=1e-12, abs=0.0
+                )
+            if "preimage_steps" in ref:
+                assert entry["preimage_steps"] == ref["preimage_steps"]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            PipelineConfig(
+                boundary=ellipse_curve(), slender={"a": None}, M=32, P=256, D=64,
+                n_iter=20,
+            ),
+            PipelineConfig(
+                boundary=_pinned_ellipse(1), slender={"a": None}, M=300, P=2400,
+                D=1000, n_iter=20,
+            ),
+        ],
+        ids=["4to1-M32", "pinned-seed1"],
+    )
+    def test_matches_the_per_candidate_search(self, cfg):
+        ref_log, ref_chosen = reference_search(cfg)
+        slender = slender_map(cfg).provenance["slender"]
+        self.assert_matches_reference(
+            slender["anchor_search"], slender["anchor"], ref_log, ref_chosen
+        )
+
+    def test_8to1_matches_the_per_candidate_search(self, monkeypatch):
+        # two candidates leave the disk at step 1; every candidate is rejected
+        cfg = PipelineConfig(
+            boundary=FourierCurve((-1, 1), (0.4375, 0.5625)), slender={"a": None},
+            M=150, P=600, D=2000, n_iter=60,
+        )
+        ref_log, ref_chosen = reference_search(cfg)
+        assert ref_chosen is None
+        # the batched search raises, so its outcomes are recorded where
+        # they arise: the preimage errors, then the gate in candidate order
+        reanchor, gate = pipelines._reanchor, pipelines._check_injective
+        preimage_errors, gate_errors = [], []
+
+        def recorded_reanchor(*args):
+            found = reanchor(*args)
+            preimage_errors.append([None if e is None else str(e) for e in found[3]])
+            return found
+
+        def recorded_gate(core):
+            try:
+                gate(core)
+            except PipelineError as exc:
+                gate_errors.append(str(exc))
+                raise
+
+        monkeypatch.setattr(pipelines, "_reanchor", recorded_reanchor)
+        monkeypatch.setattr(pipelines, "_check_injective", recorded_gate)
+        with pytest.raises(PipelineError, match="no anchor candidate"):
+            slender_map(cfg)
+        [moved] = preimage_errors  # one batched Newton for the four moved anchors
+        gated = iter(gate_errors)
+        outcomes = [next(gated)] + [e if e is not None else next(gated) for e in moved]
+        assert outcomes == [e["rejected"] for e in ref_log]
+        assert sum("left the unit disk at step 1" in text for text in outcomes) == 2
+
+    def test_preimages_are_logged(self):
+        cfg = PipelineConfig(
+            boundary=_pinned_ellipse(1), slender={"a": None}, M=300, P=2400, D=1000,
+            n_iter=20,
+        )
+        cm = slender_map(cfg)
+        log = cm.provenance["slender"]["anchor_search"]
+        # the base anchor is its own preimage 0, residual |core(0)|
+        assert log[0]["preimage_steps"] == 0
+        scale = pipelines.REANCHOR_TOL * float(np.max(np.abs(cm.core.coeffs)))
+        for entry in log[1:]:
+            assert 1 <= entry["preimage_steps"] <= pipelines.REANCHOR_STEPS
+            assert 0.0 <= entry["preimage_residual"] <= scale
+        json.dumps(log)
 
 
 # small ellipse-like curves z = a e^{it} + b e^{-it} + c e^{2it}, Jordan

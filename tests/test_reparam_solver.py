@@ -818,6 +818,57 @@ class TestReanchoredExtraction:
         assert plain.coeffs.tobytes() == zero.coeffs.tobytes()
         assert plain.neg_residual == zero.neg_residual
 
+    @pytest.mark.parametrize("solved", ["planted", "slender"])
+    def test_array_center_equals_row_by_row(self, solved):
+        # one stacked extraction per array of centers and offsets, against
+        # one scalar call per row on the curve translated by its offset
+        if solved == "planted":
+            curve, theta = self.planted()
+            D = self.D
+        else:  # a squared slender ellipse, solved as the slender pipeline does
+            from cforge import pipelines
+
+            cfg = pipelines.PipelineConfig(
+                boundary=_ellipse(), slender={"a": None}, M=32, P=256, D=64,
+                n_iter=20,
+            )
+            samples = pipelines._boundary_samples(cfg)
+            a = pipelines._default_a(cfg.boundary, samples)
+            direction, squared = pipelines._straighten(samples, a, 1, 2, np.pi / 2)
+            squared_curve, _ = pipelines._refit(cfg, squared)
+            anchor = ((cfg.boundary.coeff(0) - a) / direction) ** 2
+            curve = pipelines._translate(squared_curve, -anchor)
+            theta, D = reparam_solver.solve_reparam(curve, 32, 256).theta_grid, 64
+        inverse = correspondence_inverse(theta)
+        centers = np.array([0.0, 0.7, 0.3 + 0.2j, -0.5j, 1e-17])
+        offsets = np.array([0.0, -0.5 + 0.25j, 0.3, -0.5j, 0.25])
+        rows = reparam_solver.taylor_from_correspondence(
+            curve, theta, D, centers, inverse, offsets
+        )
+        assert len(rows) == len(centers)
+        for row, center, offset in zip(rows, centers, offsets):
+            moved = FourierCurve.from_coeffs(
+                {**curve.coeffs, 0: curve.coeff(0) + offset}
+            )
+            one = reparam_solver.taylor_from_correspondence(
+                moved, theta, D, complex(center), inverse
+            )
+            assert isinstance(one, PolynomialMap)
+            assert np.max(np.abs(row.coeffs - one.coeffs)) <= 1e-15
+            # the planted map is exact: its residual (about 4e-15) is
+            # round-off, compared as closely as the coefficients
+            assert row.neg_residual == pytest.approx(
+                one.neg_residual, rel=1e-14, abs=1e-15
+            )
+
+    def test_array_center_without_offset(self):
+        curve, theta = self.planted()
+        rows = reparam_solver.taylor_from_correspondence(curve, theta, self.D, [0.0])
+        plain = reparam_solver.taylor_from_correspondence(curve, theta, self.D)
+        assert isinstance(rows, list)
+        assert rows[0].coeffs.tobytes() == plain.coeffs.tobytes()
+        assert rows[0].neg_residual == plain.neg_residual
+
 
 class TestOneTablePerSolve:
     """Every Taylor extraction of one solve shares its inverse table."""
@@ -833,9 +884,9 @@ class TestOneTablePerSolve:
             calls["table"] += 1
             return build(*args, **kwargs)
 
-        def counted_extract(*args, **kwargs):
-            calls["extract"] += 1
-            return extract(*args, **kwargs)
+        def counted_extract(curve, theta_grid, D, center=0j, *args, **kwargs):
+            calls["extract"] += np.size(center)
+            return extract(curve, theta_grid, D, center, *args, **kwargs)
 
         monkeypatch.setattr(reparam_solver, "correspondence_inverse", counted_build)
         monkeypatch.setattr(reparam_solver, "taylor_from_correspondence", counted_extract)
@@ -843,7 +894,7 @@ class TestOneTablePerSolve:
             boundary=_ellipse(), slender={"a": None}, M=32, P=256, D=128, n_iter=20
         )
         pipelines.slender_map(cfg)
-        # the base core plus one per re-anchored candidate, from one table
+        # the base core plus one row per re-anchored candidate, from one table
         assert calls == {"table": 1, "extract": len(pipelines.ANCHOR_FRACTIONS)}
 
 
