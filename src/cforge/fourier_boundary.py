@@ -62,6 +62,8 @@ class FourierCurve:
             raise InputError("curve needs at least one coefficient")
         if len(set(ks)) != len(ks):
             raise InputError("duplicate coefficient index")
+        if not np.all(np.isfinite(cs)):
+            raise InputError("curve coefficients must be finite")
         order = np.argsort(ks)
         ks = tuple(ks[i] for i in order)
         cs = tuple(cs[i] for i in order)

@@ -3,8 +3,11 @@
 The deviation report turns "does the image boundary lie on the target
 curve" into numbers (sup and mean distance over a boundary grid); the
 univalence check counts zeros of the core derivative inside the disk by
-the argument principle (0 means locally injective); the renderer draws the
-image of a polar net of the disk as a deterministic standalone SVG.
+the argument principle (0 means locally injective); the corner-angle check
+measures a corner map's image corner (``k pi/N`` by design); the renderer
+draws the image of a polar net of the disk as a deterministic standalone
+SVG.  Maps are evaluated by their own methods, so :mod:`cforge.pipelines`
+imports this module and not the other way round.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 from .errors import DomainError, InputError
 from .fourier_boundary import FourierCurve, eval_curve, eval_grid
 from .fourier_boundary import unwrap_closed
-from .pipelines import ComposedMap, evaluate_composed, measure_corner_angle
 from .reparam_solver import ASSEMBLY_MAX_BYTES, PolynomialMap
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "boundary_deviation",
     "check_deviation_grid",
     "core_winding",
+    "measure_corner_angle",
     "univalence_check",
     "render_polar_net",
 ]
@@ -268,7 +271,7 @@ def boundary_distances(target, grid: int = 256):
 
 
 def boundary_deviation(
-    cmap: ComposedMap, target, grid: int = 256
+    cmap: "ComposedMap", target, grid: int = 256
 ) -> DeviationReport:
     """Distance of the image boundary from the target curve
     (:func:`boundary_distances`), with the univalence winding of the core
@@ -289,6 +292,36 @@ def boundary_deviation(
         monotone_theta=bool(solver.get("monotone", True)),
         corner_angle_measured=angle,
     )
+
+
+def measure_corner_angle(
+    cmap: "ComposedMap", grid: int = 512, window: float = 0.05
+) -> float:
+    """Interior angle of the image corner, measured from the boundary image.
+
+    Takes the first ``window`` fraction of the ``grid`` boundary samples on
+    each side of the corner preimage, fits a least-squares ray through the
+    recorded corner position to each side (axial mean, so points count by
+    squared distance), and returns the angle between the rays.
+    """
+    info = cmap.provenance.get("corner")
+    if not info:
+        raise InputError("map carries no corner provenance")
+    theta_c = info["theta_corner"]
+    z0 = complex(info["position"][0], info["position"][1])
+    count = max(3, int(window * grid))
+    s = 2.0 * np.pi * np.arange(1, count + 1) / grid
+    directions = []
+    for sign in (+1.0, -1.0):
+        pts = cmap(np.exp(1j * (theta_c + sign * s)))
+        v = pts - z0
+        axial = complex((v * v).sum())
+        d = 0.5 * np.angle(axial)
+        if np.cos(d - np.angle(v.sum())) < 0.0:
+            d += np.pi
+        directions.append(d)
+    diff = abs((directions[0] - directions[1] + np.pi) % (2.0 * np.pi) - np.pi)
+    return float(diff)
 
 
 def univalence_check(core: PolynomialMap, grid: int) -> int:
@@ -337,7 +370,7 @@ def _path(points) -> str:
     return f'<polyline fill="none" points="{coords}"/>'
 
 
-def _evaluated(cmap: ComposedMap, zeta_arr):
+def _evaluated(cmap: "ComposedMap", zeta_arr):
     """``(images, drawn)``: the image of ``zeta_arr`` and the mask of the
     samples no stage rejects.  A range of samples is evaluated in one call
     and halved only when that call raises, so each rejected sample costs
@@ -348,7 +381,7 @@ def _evaluated(cmap: ComposedMap, zeta_arr):
     while ranges:
         lo, hi = ranges.pop()
         try:
-            images[lo:hi] = evaluate_composed(cmap, zeta_arr[lo:hi])
+            images[lo:hi] = cmap(zeta_arr[lo:hi])
         except DomainError:
             if hi - lo == 1:
                 drawn[lo] = False
@@ -366,7 +399,7 @@ def _runs(images, drawn):
 
 
 def render_polar_net(
-    cmap: ComposedMap, spokes: int = 8, circles: int = 4, samples: int = 256
+    cmap: "ComposedMap", spokes: int = 8, circles: int = 4, samples: int = 256
 ) -> str:
     """Standalone SVG of the polar-net image under the map.
 

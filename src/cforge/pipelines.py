@@ -17,7 +17,9 @@ result with its provenance:
 The result is a :class:`ComposedMap`: a polynomial core evaluated on the
 unit disk followed by an ordered list of plane transforms.  Every stage of
 the construction is recorded in the provenance dict so a run can be
-reproduced bit for bit.
+reproduced bit for bit.  This module builds maps: it imports the checks
+it gates on from :mod:`cforge.geometry_checks` (core winding, anchor
+scoring) and re-exports :func:`measure_corner_angle`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .fourier_boundary import (
     horner,
     unwrap_closed,
 )
+from .geometry_checks import boundary_distances, core_winding, measure_corner_angle
 from .reparam_solver import PolynomialMap, solve_reparam, taylor_coeffs
 from .root_cf import CFApproximant, root_cf
 
@@ -195,9 +198,12 @@ def evaluate_composed(cmap: ComposedMap, zeta):
 
 
 def _point(value, what: str) -> complex:
-    """``value`` as a complex point; booleans and non-numbers are bad input."""
+    """``value`` as a complex point; booleans, non-numbers and non-finite
+    numbers are bad input."""
     if isinstance(value, bool) or not isinstance(value, Number):
         raise InputError(f"{what} must be a point, got {value!r}")
+    if not np.isfinite(complex(value)):
+        raise InputError(f"{what} must be finite, got {value!r}")
     return complex(value)
 
 
@@ -252,7 +258,9 @@ class PipelineConfig:
     grid, which :func:`~cforge.reparam_solver.solve_reparam` drops to the
     kernel's own resolution (``4L`` for ``L < M`` modes, or ``4M``) when
     the kernel is resolved there.  Integer fields, corner ``k`` and
-    ``N`` too, must hold integral numbers and are stored as ints.
+    ``N`` too, must hold integral numbers and are stored as ints; points
+    and ``t0`` must be finite.  A folded map's approximant,
+    ``CFApproximant(k, N, n_iter)`` (slender: ``(1, 2)``), is checked here.
     """
 
     boundary: FourierCurve | None = None
@@ -299,7 +307,10 @@ class PipelineConfig:
                     f"malformed corner {self.corner!r}: t0 must be a number "
                     "and corner k and N must be integers"
                 ) from exc
+            if not np.isfinite(corner["t0"]):
+                raise InputError(f"corner t0 must be finite, got {t0!r}")
             _known_keys(self.corner, corner, "corner")
+            CFApproximant(corner["k"], corner["N"], self.n_iter)
             object.__setattr__(self, "corner", corner)
         if self.slender is not None:
             if not isinstance(self.slender, dict) or set(self.slender) - {"a"}:
@@ -308,6 +319,7 @@ class PipelineConfig:
                 )
             a = self.slender.get("a")
             a = None if a is None else _point(a, "slender a")
+            CFApproximant(1, 2, self.n_iter)
             object.__setattr__(self, "slender", {"a": a})
         if self.samples is not None:
             samples = np.asarray(self.samples, dtype=complex).ravel()
@@ -329,7 +341,7 @@ class PipelineConfig:
             raise InputError("config JSON must be an object")
         try:
             return PipelineConfig._from_dict(payload, base_dir)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed config: {exc}") from exc
 
     @staticmethod
@@ -551,9 +563,7 @@ def _fold(cfg: PipelineConfig, k: int, N: int, pivot, direction, anchor):
 
 def _check_injective(core: PolynomialMap) -> None:
     """Raise :class:`PipelineError` if ``core`` is not locally injective."""
-    from . import geometry_checks  # it imports this module
-
-    winding = geometry_checks.core_winding(core)
+    winding = core_winding(core)
     if winding != 0:
         raise PipelineError(f"core winding {winding}: not locally injective")
 
@@ -638,7 +648,6 @@ def corner_map(cfg: PipelineConfig) -> ComposedMap:
     if cfg.corner is None:
         raise InputError("corner_map needs a corner declaration")
     k, N, t0 = cfg.corner["k"], cfg.corner["N"], cfg.corner["t0"]
-    CFApproximant(k, N, cfg.n_iter)
     samples = _boundary_samples(cfg)
     S = len(samples)
     if cfg.boundary is not None:
@@ -728,7 +737,6 @@ def slender_map(cfg: PipelineConfig) -> ComposedMap:
     base_anchor = PlaneTransform("power", (2, 1))((curve.coeff(0) - a) / direction)
     _, u_centroid = area_centroid(squared)
     sol, base_core = _solve_core(squared_curve, base_anchor, cfg)
-    from .geometry_checks import boundary_distances
 
     def cores_at(anchors) -> list:
         """``(core, preimage log)`` per anchor, the core replaced by the
@@ -842,7 +850,7 @@ def _reanchor(core: PolynomialMap, old_anchor, new_anchors):
         live, value, slope = live[~flat], value[~flat], slope[~flat]
         step = (value - targets[live]) / slope
         betas[live] -= step
-        left = np.abs(betas[live]) > 1.0
+        left = np.abs(betas[live]) >= 1.0
         for i in live[left]:
             errors[i] = PipelineError(
                 f"anchor {complex(new_anchors[i])} is not an interior point of the "
@@ -860,43 +868,4 @@ def _reanchor(core: PolynomialMap, old_anchor, new_anchors):
                     f"anchor preimage Newton did not converge: residual "
                     f"{residual:.3e} after {steps[i]} steps"
                 )
-            elif abs(betas[i]) >= 1.0:
-                errors[i] = PipelineError(
-                    f"anchor {complex(new_anchors[i])} is not an interior point "
-                    "of the solve"
-                )
     return betas, steps, residuals, errors
-
-
-# ---------------------------------------------------------------------------
-# corner angle measurement
-
-
-def measure_corner_angle(
-    cmap: ComposedMap, grid: int = 512, window: float = 0.05
-) -> float:
-    """Interior angle of the image corner, measured from the boundary image.
-
-    Takes the first ``window`` fraction of the ``grid`` boundary samples on
-    each side of the corner preimage, fits a least-squares ray through the
-    recorded corner position to each side (axial mean, so points count by
-    squared distance), and returns the angle between the rays.
-    """
-    info = cmap.provenance.get("corner")
-    if not info:
-        raise InputError("map carries no corner provenance")
-    theta_c = info["theta_corner"]
-    z0 = complex(info["position"][0], info["position"][1])
-    count = max(3, int(window * grid))
-    s = 2.0 * np.pi * np.arange(1, count + 1) / grid
-    directions = []
-    for sign in (+1.0, -1.0):
-        pts = evaluate_composed(cmap, np.exp(1j * (theta_c + sign * s)))
-        v = pts - z0
-        axial = complex((v * v).sum())
-        d = 0.5 * np.angle(axial)
-        if np.cos(d - np.angle(v.sum())) < 0.0:
-            d += np.pi
-        directions.append(d)
-    diff = abs((directions[0] - directions[1] + np.pi) % (2.0 * np.pi) - np.pi)
-    return float(diff)

@@ -62,6 +62,7 @@ correspondence ``theta``.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -618,11 +619,11 @@ def _cut(bands: np.ndarray) -> float:
     return float(np.max(np.max(bands[:, 1:], axis=1) / np.maximum(bands[:, 0], 1.0)))
 
 
-def _rung(curve: FourierCurve, M: int, grid: int):
+def _rung(curve: FourierCurve, M: int):
     """The system on the kernel's own resolution ``L < M``, ``(system,
     su)``, or ``None`` when there is none.
 
-    ``su`` is the half spectrum of ``ln|z|`` on ``grid``, whose tail must
+    ``su`` is the half spectrum of ``ln|z|`` on ``4M`` nodes, whose tail must
     be at most ``KERNEL_TAIL_TOL``, as for a system assembled there.  A
     probe on ``L0 = max(PROBE_MODES, max|k|)`` modes and ``4 L0`` nodes
     (none when ``M < 4 L0``) carries its spectra's envelope on to the mode
@@ -637,9 +638,9 @@ def _rung(curve: FourierCurve, M: int, grid: int):
     L = max(PROBE_MODES, max(abs(k) for k in curve.ks))
     if M < 4 * L:
         return None
-    su = _half_spectrum(np.log(np.abs(eval_grid(curve.ks, curve.cs, grid))))
+    su = _half_spectrum(np.log(np.abs(eval_grid(curve.ks, curve.cs, 4 * M))))
     kept, *discarded = _band(su, M)
-    su_tail = _tail(kept, discarded, M, grid)
+    su_tail = _tail(kept, discarded, M, 4 * M)
     if not su_tail <= KERNEL_TAIL_TOL:
         return None
     system = assemble_system(curve, L, 4 * L, su=su)
@@ -678,12 +679,12 @@ def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
     makes the truncated system uniquely solvable.  Non-monotone ``theta`` is
     flagged, never repaired: it signals an under-resolved M.
     """
-    from scipy.linalg import lu_factor, lu_solve
-    from scipy.linalg.lapack import dgecon
+    from scipy.linalg import lu_solve
+    from scipy.linalg.lapack import dgecon, dgetrf
 
     _check_grid(M, P)
-    grid = 4 * M if P > 4 * M else P
-    rung = _rung(curve, M, grid)
+    grid = 4 * M
+    rung = _rung(curve, M)
     if rung is not None:
         system, su = rung
         grid = 4 * len(system.F)
@@ -699,7 +700,9 @@ def solve_reparam(curve: FourierCurve, M: int, P: int) -> ReparamSolution:
         )
     A = system.A
     L = len(system.F)
-    lu, piv = lu_factor(A)
+    # getrf as lu_factor calls it, without its warning on an exactly zero
+    # pivot: the condition below reports a singular system
+    lu, piv, _ = dgetrf(A)
     norm = np.linalg.norm(A, 1)
     rcond, _ = dgecon(lu, norm, norm="1")
     # |A| |A^-1| = 1/rcond; the identity block lifts either norm to 1
@@ -967,8 +970,6 @@ def save_polynomial_map(pmap: PolynomialMap, path: str) -> None:
 
 def load_polynomial_map(path: str) -> PolynomialMap:
     """Read :func:`save_polynomial_map` output; the sidecar is optional."""
-    import os
-
     rows = dict(io.read_kri(path))
     if min(rows) < 0:
         raise InputError(f"polynomial map {path} must have k >= 0")

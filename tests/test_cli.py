@@ -38,6 +38,12 @@ def circle_config(tmp_path, **overrides):
     return str(path)
 
 
+CORNER = {"t0": 0.0, "k": 1, "N": 2}
+NAN_ELLIPSE = {"coeffs": [{"k": -1, "re": 0.375, "im": 0.0},
+                          {"k": 1, "re": float("nan"), "im": 0.0}]}
+NOT_FINITE = "curve coefficients must be finite"
+
+
 class TestFit:
     def test_circle_samples(self, tmp_path):
         t = 2 * np.pi * np.arange(64) / 64
@@ -77,6 +83,18 @@ class TestFit:
              "--out", str(tmp_path)]
         )
         assert code == 2
+
+    def test_non_finite_sample_exit_2(self, tmp_path, capsys):
+        # the CSV reader accepts nan; the fitted curve refuses it
+        samples = np.exp(2j * np.pi * np.arange(64) / 64)
+        samples[3] = complex(np.nan, 0.0)
+        write_samples(tmp_path / "s.csv", samples, with_t=False)
+        out = tmp_path / "fit"
+        code = main(["fit", str(tmp_path / "s.csv"), "-m", "1", "-n", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert NOT_FINITE in capsys.readouterr().err
+        assert not (out / "curve.csv").exists()
 
 
 class TestMap:
@@ -324,6 +342,53 @@ class TestMap:
         cfg = circle_config(tmp_path, boundary={"samples": samples}, slender=slender)
         assert main(["map", "--config", cfg, "--out", str(tmp_path / "o7")]) == 2
         assert "samples must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            # JSON's NaN reaches the curve, which refuses it before any solve
+            ({"boundary": NAN_ELLIPSE}, NOT_FINITE),
+            ({"boundary": NAN_ELLIPSE, "slender": {}}, NOT_FINITE),
+            ({"boundary": NAN_ELLIPSE, "corner": CORNER}, NOT_FINITE),
+            ({"slender": {"a_re": np.nan}}, "slender a_re must be finite"),
+            ({"slender": {"a_re": np.inf}}, "slender a_re must be finite"),
+            # an integer beyond float range is no finite number either
+            ({"slender": {"a_re": 10**400}}, "malformed config: int too large"),
+            ({"corner": {**CORNER, "t0": 10**400}}, "malformed config: int too large"),
+            ({"corner": {**CORNER, "t0": np.nan}}, "corner t0 must be finite"),
+            ({"corner": {**CORNER, "t0": np.inf}}, "corner t0 must be finite"),
+            ({"slender": {"a_re": -2.0}, "anchor": [np.nan, 0.0]},
+             "anchor must be finite"),
+            ({"slender": {}, "n_iter": 0}, "n_iter must be >= 1"),
+            ({"corner": CORNER, "n_iter": 0}, "n_iter must be >= 1"),
+        ],
+        ids=["coeff-smooth", "coeff-slender", "coeff-corner", "a-nan", "a-inf",
+             "a-huge", "t0-huge", "t0-nan", "t0-inf", "anchor-nan", "n_iter-slender",
+             "n_iter-corner"],
+    )
+    def test_bad_number_exit_2(self, tmp_path, capsys, overrides, named):
+        cfg = circle_config(tmp_path, **overrides)
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "o7")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o7" / "manifest.json").exists()
+
+    def test_singular_system_exit_4(self, tmp_path, monkeypatch, capsys):
+        from dataclasses import replace
+
+        from cforge import reparam_solver
+
+        assemble = reparam_solver.assemble_system
+
+        def singular(*args, **kwargs):
+            system = assemble(*args, **kwargs)
+            return replace(system, A=np.zeros_like(system.A))
+
+        monkeypatch.setattr(reparam_solver, "assemble_system", singular)
+        out = tmp_path / "o9"
+        cfg = circle_config(tmp_path)
+        assert main(["map", "--config", cfg, "--out", str(out)]) == 4
+        assert "numerically singular (condition inf)" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("anchor", [4.0, "pinned", True])
     def test_malformed_anchor_exit_2(self, tmp_path, capsys, anchor):

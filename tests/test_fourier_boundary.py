@@ -387,6 +387,11 @@ class TestInvariants:
         with pytest.raises(InputError):
             FourierCurve((0,), (2.0,))
 
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(InputError, match="curve coefficients must be finite"):
+            FourierCurve((-1, 1), (0.25, bad))
+
     def test_support_from_keys(self):
         curve = FourierCurve((-3, 0, 2), (1.0, 0.5, 0.25))
         assert curve.m == 3 and curve.n == 2

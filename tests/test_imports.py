@@ -1,10 +1,13 @@
-"""Imports: every exported name exists, and scipy is imported only inside
-the functions that use it.
+"""Imports: every exported name exists, the package's modules import one
+another without a cycle, and scipy is imported only inside the functions
+that use it (and nothing else is imported inside a function).
 
 Each cold-start check runs in a fresh interpreter, because this test
 process has long since imported scipy.  No timing is asserted.
 """
 
+import ast
+import graphlib
 import importlib
 import json
 import os
@@ -49,6 +52,52 @@ def test_every_export_resolves(name):
     exports = getattr(module, "__all__", [])
     assert len(set(exports)) == len(exports)
     assert [e for e in exports if not hasattr(module, e)] == []
+
+
+def _parsed_modules():
+    """``{module name: parsed source}`` of every module of the package."""
+    package = os.path.dirname(os.path.abspath(cforge.__file__))
+    out = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                out[name[:-3]] = ast.parse(fh.read(), name)
+    return out
+
+
+def test_package_imports_form_no_cycle():
+    modules = _parsed_modules()
+    graph = {}
+    for name, tree in modules.items():
+        graph[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    graph[name].add(node.module.split(".")[0])
+                else:  # "from . import x": a module, or a name of the package
+                    graph[name] |= {
+                        a.name if a.name in modules else "__init__" for a in node.names
+                    }
+    assert "pipelines" not in graph["geometry_checks"]
+    # raises graphlib.CycleError naming the cycle
+    list(graphlib.TopologicalSorter(graph).static_order())
+
+
+def test_functions_import_only_scipy():
+    inside = []
+    for name, tree in _parsed_modules().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    roots = [a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    roots = ["." * node.level + (node.module or "").split(".")[0]]
+                else:
+                    continue
+                inside += [f"{name}.{fn.name}: {r}" for r in roots if r != "scipy"]
+    assert inside == []
 
 
 def test_cli_import_report_and_render_load_no_scipy(tmp_path):

@@ -108,8 +108,10 @@ def configs(draw, boundary):
         kwargs[key] = draw(st.one_of(st.none(), st.integers(4, 4096)))
     extra = draw(st.sampled_from(["smooth", "corner", "slender", "slender-auto"]))
     if extra == "corner":
-        kwargs["corner"] = {"t0": draw(moderate), "k": draw(st.integers(1, 5)),
-                            "N": draw(st.integers(2, 6))}
+        # the config refuses an approximant without 1 <= k <= N - 1
+        N = draw(st.integers(2, 6))
+        kwargs["corner"] = {"t0": draw(moderate), "k": draw(st.integers(1, N - 1)),
+                            "N": N}
     elif extra.startswith("slender"):
         kwargs["slender"] = {"a": None if extra == "slender-auto" else draw(points)}
     if boundary == "coeffs":

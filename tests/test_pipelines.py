@@ -174,6 +174,19 @@ class TestCorner:
         with pytest.raises(SectorViolationError):
             corner_map(cfg)
 
+    def test_fourier_boundary_pivots_on_the_curve_point(self):
+        # a Fourier boundary takes any t0, not only a sample node: the
+        # domain is seen from the curve's own point there (a smooth ellipse
+        # then spans more than the declared opening)
+        curve, t0 = ellipse_curve(), 0.3
+        cfg = PipelineConfig(boundary=curve, corner={"t0": t0, "k": 1, "N": 2}, M=16)
+        with pytest.raises(SectorViolationError, match="domain seen from") as caught:
+            corner_map(cfg)
+        assert f"seen from {complex(eval_curve(curve, t0))} " in str(caught.value)
+        samples = eval_grid(curve.ks, curve.cs, 4096)
+        with pytest.raises(InputError, match="t0 must coincide with a sample node"):
+            corner_map(replace(cfg, boundary=None, samples=samples))
+
     def test_t0_reduced_mod_2pi_on_samples(self):
         cores = []
         for t0 in (0.0, 2 * np.pi, -2 * np.pi):
@@ -351,17 +364,17 @@ class TestSlender:
         from cforge.pipelines import _reanchor
         from cforge.reparam_solver import PolynomialMap
 
-        # Newton on beta^3 - 2 beta + 2 from 0 cycles 0 -> 1 -> 0 exactly,
-        # while a reachable target in the same batch converges to an
-        # interior preimage
-        core = PolynomialMap(coeffs=[0.0, -2.0, 0.0, 1.0], neg_residual=0.0)
+        # Newton on 8 beta^3 - 4 beta + 2 (x^3 - 2x + 2 at x = 2 beta) from 0
+        # cycles 0 -> 1/2 -> 0 exactly, inside the disk, while a reachable
+        # target in the same batch converges to an interior preimage
+        core = PolynomialMap(coeffs=[0.0, -4.0, 0.0, 8.0], neg_residual=0.0)
         betas, steps, residuals, errors = _reanchor(core, 0.0, [-2.0, -0.5])
         with pytest.raises(PipelineError, match=r"residual 2\.000e\+00 after 80 steps"):
             raise errors[0]
         assert steps[0] == 80 and residuals[0] == 2.0
         assert errors[1] is None and steps[1] < 80
         assert abs(betas[1]) < 1
-        assert abs(core(betas[1]) + 0.5) <= pipelines.REANCHOR_TOL * 2.0  # max |coeff|
+        assert abs(core(betas[1]) + 0.5) <= pipelines.REANCHOR_TOL * 8.0  # max |coeff|
         assert residuals[1] == abs(core(betas[1:2])[0] + 0.5)
 
     def test_reanchor_stops_when_newton_leaves_the_disk(self, monkeypatch):
@@ -386,6 +399,17 @@ class TestSlender:
         # value and slope come from one two-row evaluation per step, at
         # every live preimage; the one that left is not evaluated again
         assert calls == [((2, 2), (2,)), ((2, 2), (1,))]
+
+    def test_reanchor_preimage_on_the_circle_left_the_disk(self):
+        from cforge.pipelines import _reanchor
+        from cforge.reparam_solver import PolynomialMap
+
+        # Newton on 2 beta - 2 from 0 lands exactly on beta = 1
+        core = PolynomialMap(coeffs=[0.0, 2.0], neg_residual=0.0)
+        betas, steps, residuals, errors = _reanchor(core, 0.0, [2.0])
+        with pytest.raises(PipelineError, match="left the unit disk at step 1"):
+            raise errors[0]
+        assert betas[0] == 1.0 and steps[0] == 1 and residuals == [None]
 
     @pytest.mark.parametrize("M, P, D", [(150, 600, 2000), (300, 1200, 4000)])
     def test_slender_8_to_1_rejects_anchors_outside_the_solve(self, M, P, D, monkeypatch):
@@ -425,7 +449,7 @@ def _scalar_reanchor(core, old_anchor, new_anchor):
             break
         step = complex(value - target) / complex(slope)
         beta -= step
-        if abs(beta) > 1.0:
+        if abs(beta) >= 1.0:
             raise PipelineError(
                 f"anchor {new_anchor} is not an interior point of the solve: "
                 f"the preimage Newton left the unit disk at step {steps}"
@@ -438,8 +462,6 @@ def _scalar_reanchor(core, old_anchor, new_anchor):
             f"anchor preimage Newton did not converge: residual {residual:.3e} "
             f"after {steps} steps"
         )
-    if abs(beta) >= 1.0:
-        raise PipelineError(f"anchor {new_anchor} is not an interior point of the solve")
     return beta, steps, residual
 
 
@@ -844,6 +866,30 @@ class TestConfigJson:
     def test_defaults(self, unit_circle):
         cfg = PipelineConfig(boundary=unit_circle)
         assert cfg.M == 64 and cfg.P == 512 and cfg.D == 256 and cfg.n_iter == 8
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"slender": {"a": complex(np.nan, 0.0)}}, "slender a must be finite"),
+            ({"slender": {"a": np.inf}}, "slender a must be finite"),
+            ({"slender": {"a": -2.0}, "anchor": complex(0.0, np.nan)},
+             "anchor must be finite"),
+            ({"corner": {"t0": np.nan, "k": 1, "N": 2}}, "corner t0 must be finite"),
+        ],
+    )
+    def test_non_finite_point_rejected(self, unit_circle, fields, match):
+        with pytest.raises(InputError, match=match):
+            PipelineConfig(boundary=unit_circle, **fields)
+
+    def test_slender_n_iter_below_1_refused_before_the_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(pipelines, "solve_reparam", no_solve)
+        with pytest.raises(InputError, match="n_iter must be >= 1"):
+            slender_map(PipelineConfig(
+                boundary=ellipse_curve(), slender={"a": None}, M=32, n_iter=0
+            ))
 
     @pytest.mark.parametrize("anchor", ["pinned", True, [4.0, 0.0]])
     def test_anchor_must_be_a_point(self, unit_circle, anchor):

@@ -447,6 +447,23 @@ class TestSolve:
         dev -= dev.mean()
         assert np.max(np.abs(dev)) < 2e-3
 
+    @pytest.mark.parametrize("M, P", [(16, 128), (128, 512)], ids=["grid", "rung"])
+    def test_singular_system_raises_with_its_condition(self, monkeypatch, M, P):
+        from dataclasses import replace
+
+        from cforge.errors import SingularSystemError
+
+        assemble = reparam_solver.assemble_system
+
+        def singular(*args, **kwargs):
+            system = assemble(*args, **kwargs)
+            return replace(system, A=np.zeros_like(system.A))
+
+        monkeypatch.setattr(reparam_solver, "assemble_system", singular)
+        with pytest.raises(SingularSystemError, match="numerically singular") as caught:
+            solve_reparam(FourierCurve((-1, 1), (0.375, 0.625)), M, P)
+        assert caught.value.condition == np.inf
+
     def test_mean_of_q_is_zero(self, wavy_curve):
         sol = solve_reparam(wavy_curve, 24, 192)
         t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
